@@ -472,6 +472,27 @@ pub struct ConstrainedGemmKernel<'a, T: Scalar> {
     mask: &'a CsrMatrix<T>,
     out_values: Option<SyncUnsafeSlice<'a, T>>,
     k: usize,
+    /// Masked nonzeros per 64x64 output tile, indexed `by * grid_x + bx`:
+    /// built once per launch in one O(nnz) pass so that the block signature
+    /// and the epilogue cost never rescan mask rows per block.
+    tile_nnz: Vec<u32>,
+}
+
+/// Output tile edge (rows and columns) of the constrained GEMM.
+const CG_TILE: usize = 64;
+
+/// Count the mask's nonzeros per `CG_TILE` x `CG_TILE` tile, row-major over
+/// the launch grid.
+fn tile_histogram<T: Scalar>(mask: &CsrMatrix<T>) -> Vec<u32> {
+    let grid_x = mask.cols().div_ceil(CG_TILE);
+    let mut hist = vec![0u32; grid_x * mask.rows().div_ceil(CG_TILE)];
+    for r in 0..mask.rows() {
+        let base = r / CG_TILE * grid_x;
+        for &c in mask.row(r).0 {
+            hist[base + c as usize / CG_TILE] += 1;
+        }
+    }
+    hist
 }
 
 impl<'a, T: Scalar> ConstrainedGemmKernel<'a, T> {
@@ -493,6 +514,7 @@ impl<'a, T: Scalar> ConstrainedGemmKernel<'a, T> {
             mask,
             out_values: Some(SyncUnsafeSlice::new(out_values)),
             k,
+            tile_nnz: tile_histogram(mask),
         }
     }
 
@@ -503,7 +525,14 @@ impl<'a, T: Scalar> ConstrainedGemmKernel<'a, T> {
             mask,
             out_values: None,
             k,
+            tile_nnz: tile_histogram(mask),
         }
+    }
+
+    /// Masked nonzeros in the output tile of `block`.
+    fn masked_in_tile(&self, block: Dim3) -> u64 {
+        let grid_x = self.mask.cols().div_ceil(CG_TILE);
+        u64::from(self.tile_nnz[block.y as usize * grid_x + block.x as usize])
     }
 }
 
@@ -514,8 +543,8 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
 
     fn grid(&self) -> Dim3 {
         Dim3::xy(
-            (self.mask.cols() as u32).div_ceil(64),
-            (self.mask.rows() as u32).div_ceil(64),
+            self.mask.cols().div_ceil(CG_TILE) as u32,
+            self.mask.rows().div_ceil(CG_TILE) as u32,
         )
     }
 
@@ -572,18 +601,11 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
     /// accounting), and the offsets-load base alignment class. The dense
     /// mainloop cost depends only on `k`, a kernel constant.
     fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let row0 = block.y as usize * 64;
-        let col0 = block.x as usize * 64;
-        let tile_m = 64.min(self.mask.rows() - row0);
-        let tile_n = 64.min(self.mask.cols() - col0);
-        let mut masked = 0u64;
-        for r in row0..row0 + tile_m {
-            let (cols, _) = self.mask.row(r);
-            masked += cols
-                .iter()
-                .filter(|&&c| (c as usize) >= col0 && (c as usize) < col0 + tile_n)
-                .count() as u64;
-        }
+        let row0 = block.y as usize * CG_TILE;
+        let col0 = block.x as usize * CG_TILE;
+        let tile_m = CG_TILE.min(self.mask.rows() - row0);
+        let tile_n = CG_TILE.min(self.mask.cols() - col0);
+        let masked = self.masked_in_tile(block);
         let mut fp = gpu_sim::Fingerprint::new();
         fp.write_u64(tile_m as u64);
         fp.write_u64(tile_n as u64);
@@ -641,8 +663,8 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
         // than by orders of magnitude: its inner loop is dense-efficient.
         let eb = T::BYTES as u64;
         let k = self.k;
-        const TILE_M: usize = 64;
-        const TILE_N: usize = 64;
+        const TILE_M: usize = CG_TILE;
+        const TILE_N: usize = CG_TILE;
         const TILE_K: usize = 32;
         let row0 = block.y as usize * TILE_M;
         let col0 = block.x as usize * TILE_N;
@@ -650,8 +672,7 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
         let tile_n = TILE_N.min(self.mask.cols() - col0);
         let warps = 8u64; // 256 threads
 
-        // Cost-only work (including the masked-count scan) is skipped
-        // entirely on cache-hit replays.
+        // Cost-only work is skipped entirely on cache-hit replays.
         if ctx.recording() {
             let k_iters = k.div_ceil(TILE_K);
             for _ in 0..k_iters {
@@ -675,14 +696,7 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
                 ctx.misc(8 * warps);
             }
             // Only the masked outputs are useful work.
-            let mut masked = 0u64;
-            for r in row0..row0 + tile_m {
-                let (cols, _) = self.mask.row(r);
-                masked += cols
-                    .iter()
-                    .filter(|&&c| (c as usize) >= col0 && (c as usize) < col0 + tile_n)
-                    .count() as u64;
-            }
+            let masked = self.masked_in_tile(block);
             ctx.cost.flops += 2 * masked * k as u64;
             // Epilogue: gather the mask topology for the tile, scatter outputs.
             ctx.ld_global(BUF_A_OFFSETS, row0 as u64 * 4, tile_m as u32, 1, 4);
@@ -826,6 +840,43 @@ mod tests {
             assert!((got - want).abs() < 1e-3);
         }
         assert!(stats.time_us > 0.0);
+    }
+
+    #[test]
+    fn tile_histogram_matches_row_scan() {
+        // Ragged edge tiles, fully dense and mostly empty tiles, a band
+        // whose rows cross tile columns, and degenerate shapes.
+        let masks = [
+            gen::uniform(200, 300, 0.8, 59),
+            gen::uniform(65, 129, 0.0, 60),
+            gen::uniform(130, 70, 0.99, 61),
+            gen::uniform(1, 1, 0.0, 62),
+            gen::banded(190, 190, 40),
+        ];
+        for mask in &masks {
+            let kernel = ConstrainedGemmKernel::<f32>::for_profile(mask, 32);
+            let grid = kernel.grid();
+            assert_eq!(kernel.tile_nnz.len() as u64, grid.size());
+            for lin in 0..grid.size() {
+                let block = grid.delinearize(lin);
+                let (row0, col0) = (block.y as usize * 64, block.x as usize * 64);
+                let mut want = 0u64;
+                for r in row0..(row0 + 64).min(mask.rows()) {
+                    let cols = mask.row(r).0;
+                    want += cols
+                        .iter()
+                        .filter(|&&c| (col0..col0 + 64).contains(&(c as usize)))
+                        .count() as u64;
+                }
+                assert_eq!(
+                    kernel.masked_in_tile(block),
+                    want,
+                    "{}x{} mask, tile {block:?}",
+                    mask.rows(),
+                    mask.cols()
+                );
+            }
+        }
     }
 
     #[test]

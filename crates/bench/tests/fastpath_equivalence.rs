@@ -32,6 +32,8 @@ use sputnik::{
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
+mod common;
+
 /// The sanitize_all shape grid: square pow2, ragged partial tiles, high
 /// sparsity with empty rows.
 const SHAPES: &[(usize, usize, usize, f64)] =
@@ -163,6 +165,25 @@ fn all_kernels_fastpath_bit_identical() {
             let kernel = ConstrainedGemmKernel::for_profile(&mask, k);
             assert_fastpath_identical(&kernel, &label("constrained_gemm"));
         }
+    }
+
+    // Constrained GEMM on a multi-tile mask: ragged edge tiles, an empty
+    // tile, a dense tile and rows that cross tile columns. Both constructors
+    // build the per-tile nonzero histogram the signature and cost read.
+    {
+        let mask = common::multi_tile_mask();
+        let k = 40;
+        let kernel = ConstrainedGemmKernel::for_profile(&mask, k);
+        assert_fastpath_identical(&kernel, "constrained_gemm multi-tile");
+        let stats = Gpu::v100().profile(&kernel);
+        assert_eq!(stats.blocks, 20, "5x4 tile grid");
+        assert_eq!(stats.flops, 2 * mask.nnz() as u64 * k as u64);
+
+        let lhs = Matrix::<f32>::random(mask.rows(), k, 0xC6E1);
+        let rhs_t = Matrix::<f32>::random(k, mask.cols(), 0xC6E2);
+        let mut values = vec![0.0f32; mask.nnz()];
+        let kernel = ConstrainedGemmKernel::new(&lhs, &rhs_t, &mask, &mut values);
+        assert_fastpath_identical(&kernel, "constrained_gemm multi-tile (functional ctor)");
     }
 
     // Shape-constrained baselines.
@@ -298,6 +319,17 @@ fn functional_dedup_bit_identical_across_kernels() {
         let (c_off, s_off) = baselines::block_spmm(&gpu_off, &bsr, &b);
         assert_eq!(c_on.as_slice(), c_off.as_slice(), "block_spmm outputs");
         assert_eq!(s_on, s_off, "block_spmm stats");
+    }
+
+    // cuSPARSE SDDMM (transpose + constrained GEMM) on the multi-tile mask.
+    {
+        let mask = common::multi_tile_mask();
+        let lhs = Matrix::<f32>::random(mask.rows(), 40, 0xC6E3);
+        let rhs = Matrix::<f32>::random(mask.cols(), 40, 0xC6E4);
+        let (d_on, s_on) = baselines::cusparse_sddmm(&gpu_on, &lhs, &rhs, &mask);
+        let (d_off, s_off) = baselines::cusparse_sddmm(&gpu_off, &lhs, &rhs, &mask);
+        assert_eq!(d_on.values(), d_off.values(), "cusparse_sddmm outputs");
+        assert_eq!(s_on, s_off, "cusparse_sddmm stats");
     }
 }
 

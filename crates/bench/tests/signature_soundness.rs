@@ -15,6 +15,8 @@ use sputnik::{SpmmConfig, SpmmKernel};
 use sputnik_bench::registry;
 use std::collections::HashMap;
 
+mod common;
+
 /// Execute every block of `kernel`, grouping cost traces by signature;
 /// any signature collision with differing costs is a soundness bug.
 fn assert_signature_sound(kernel: &dyn Kernel, context: &str) {
@@ -88,6 +90,20 @@ fn spmm_signatures_sound_on_random_topologies() {
             assert_signature_sound(&kernel, &format!("random {m}x{k}x{n} s={sparsity}"));
         }
     }
+}
+
+#[test]
+fn constrained_gemm_signatures_sound_on_multi_tile_mask() {
+    let mask = common::multi_tile_mask();
+    let k = 40;
+    let kernel = baselines::cusparse::ConstrainedGemmKernel::for_profile(&mask, k);
+    assert_signature_sound(&kernel, "multi-tile mask (profile ctor)");
+
+    let lhs = Matrix::<f32>::random(mask.rows(), k, 0x51A1);
+    let rhs_t = Matrix::<f32>::random(k, mask.cols(), 0x51A2);
+    let mut values = vec![0.0f32; mask.nnz()];
+    let kernel = baselines::cusparse::ConstrainedGemmKernel::new(&lhs, &rhs_t, &mask, &mut values);
+    assert_signature_sound(&kernel, "multi-tile mask (functional ctor)");
 }
 
 /// The replay contract holds end to end: a signature that collides across

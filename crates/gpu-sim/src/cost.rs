@@ -115,6 +115,29 @@ impl BlockCost {
             a.st_sectors += b.st_sectors;
         }
     }
+
+    /// Accumulate `k` copies of `other`: each counter grows by an exact
+    /// `u64` product, which equals `k` repeated [`BlockCost::merge`] calls.
+    /// The dedup launch tail uses it to charge a signature class once.
+    pub(crate) fn merge_scaled(&mut self, other: &BlockCost, k: u64) {
+        self.fma_instrs += k * other.fma_instrs;
+        self.fp_instrs += k * other.fp_instrs;
+        self.flops += k * other.flops;
+        self.ld_global_instrs += k * other.ld_global_instrs;
+        self.st_global_instrs += k * other.st_global_instrs;
+        self.ld_shared_instrs += k * other.ld_shared_instrs;
+        self.st_shared_instrs += k * other.st_shared_instrs;
+        self.shared_bytes += k * other.shared_bytes;
+        self.bank_conflict_passes += k * other.bank_conflict_passes;
+        self.shfl_instrs += k * other.shfl_instrs;
+        self.misc_instrs += k * other.misc_instrs;
+        self.barriers += k * other.barriers;
+        self.stall_cycles += k * other.stall_cycles;
+        for (a, b) in self.gmem.iter_mut().zip(other.gmem.iter()) {
+            a.ld_sectors += k * b.ld_sectors;
+            a.st_sectors += k * b.st_sectors;
+        }
+    }
 }
 
 /// The compact per-block record the launcher's timing model actually needs.
@@ -614,6 +637,43 @@ mod tests {
         assert_eq!(total.fma_instrs, 20);
         assert_eq!(total.flops, 2 * 320 * 2);
         assert_eq!(total.gmem[1].ld_sectors, 8);
+    }
+
+    #[test]
+    fn scaled_merge_equals_repeated_merge() {
+        // Every counter distinct and nonzero, so a dropped or swapped field
+        // shows up.
+        let mut one = BlockCost {
+            fma_instrs: 1,
+            fp_instrs: 2,
+            flops: 3,
+            ld_global_instrs: 4,
+            st_global_instrs: 5,
+            ld_shared_instrs: 6,
+            st_shared_instrs: 7,
+            shared_bytes: 8,
+            bank_conflict_passes: 9,
+            shfl_instrs: 10,
+            misc_instrs: 11,
+            barriers: 12,
+            stall_cycles: 13,
+            ..BlockCost::default()
+        };
+        for (slot, t) in one.gmem.iter_mut().enumerate() {
+            t.ld_sectors = 14 + 2 * slot as u64;
+            t.st_sectors = 15 + 2 * slot as u64;
+        }
+        let mut base = BlockCost::default();
+        base.merge(&one);
+        for k in [0u64, 1, 7, (1 << 20) + 3] {
+            let mut repeated = base.clone();
+            for _ in 0..k {
+                repeated.merge(&one);
+            }
+            let mut scaled = base.clone();
+            scaled.merge_scaled(&one, k);
+            assert_eq!(scaled, repeated, "k = {k}");
+        }
     }
 
     #[test]

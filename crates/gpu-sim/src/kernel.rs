@@ -46,16 +46,19 @@ pub trait Kernel: Sync {
     /// A structural signature of this block's *cost trace*: two blocks with
     /// equal signatures must record bit-identical [`BlockCost`]s from
     /// `execute_block` (instruction counts, sector counts, stalls — the
-    /// functional output may of course differ). Profile-mode launches
-    /// execute one representative per signature and replay its cost for the
-    /// others, which is how dataset-scale sweeps skip the long tail of
-    /// structurally repeated blocks.
+    /// functional output may of course differ). Launches record one
+    /// representative's cost per signature and charge it once per member
+    /// (profile launches skip executing the others entirely), which is how
+    /// dataset-scale sweeps skip the long tail of structurally repeated
+    /// blocks. Called once per block per launch, so it must be O(1)
+    /// amortised: precompute per-launch tables in the constructor rather
+    /// than rescanning rows here.
     ///
     /// Soundness is the implementor's burden: the signature must cover every
     /// input the trace depends on, including address *alignment* classes
     /// (sector counts change with `addr % 32`). Return `None` (the default)
     /// for blocks whose cost cannot be cheaply summarized — those execute
-    /// normally. Functional and sanitized launches never consult this.
+    /// normally. Sanitized launches never consult this.
     ///
     /// [`BlockCost`]: crate::cost::BlockCost
     fn block_signature(&self, _block: Dim3) -> Option<u64> {

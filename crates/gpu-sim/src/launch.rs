@@ -17,6 +17,7 @@ use crate::trace;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why a launch could not run (or did not complete).
 #[derive(Debug, Clone, PartialEq)]
@@ -169,9 +170,9 @@ pub struct Gpu {
     dev: DeviceConfig,
     /// Optional injected-fault schedule consulted on every launch.
     fault: Option<FaultPlan>,
-    /// Structural block dedup in profile mode (see
-    /// [`Kernel::block_signature`]); on by default, disabled only to
-    /// brute-force a reference for equivalence testing.
+    /// Structural block dedup (see [`Kernel::block_signature`]); on by
+    /// default, disabled only to brute-force a reference for equivalence
+    /// testing.
     dedup: bool,
 }
 
@@ -211,10 +212,11 @@ impl Gpu {
         self.fault.as_ref()
     }
 
-    /// Enable or disable structural block dedup for profile launches.
-    /// Dedup is on by default and bit-identical to brute force (that is the
-    /// [`Kernel::block_signature`] contract); turning it off forces every
-    /// block to execute, which the equivalence suite uses as the reference.
+    /// Enable or disable structural block dedup for profile and functional
+    /// launches. Dedup is on by default and bit-identical to brute force
+    /// (that is the [`Kernel::block_signature`] contract); turning it off
+    /// forces every block to record its own cost, which the equivalence
+    /// suite uses as the reference.
     pub fn with_block_dedup(mut self, enabled: bool) -> Self {
         self.dedup = enabled;
         self
@@ -459,7 +461,7 @@ impl Gpu {
         }
         report.absorb_session(race_count, race_examples);
 
-        let stats = self.finish(kernel, occ, total, lites);
+        let stats = self.finish(kernel, occ, total, &lites, None);
         metrics::global().incr_many(&[
             ("sanitizer_runs", 1),
             ("sanitizer_violations", report.violation_count),
@@ -530,17 +532,8 @@ impl Gpu {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
-        // Dedup fast paths: execute (or cost-record) one representative per
-        // structural block signature, replay its cost for the rest. In
-        // functional mode every block still executes for its outputs — only
-        // the cost recording is deduplicated.
         if self.dedup {
-            let fast = if functional {
-                self.run_functional_dedup(kernel, occ)
-            } else {
-                self.run_profile_dedup(kernel, occ)
-            };
-            if let Some(stats) = fast {
+            if let Some(stats) = self.run_dedup(kernel, functional, occ) {
                 return stats;
             }
         }
@@ -568,18 +561,31 @@ impl Gpu {
             })
             .unwrap_or_default();
 
-        self.finish(kernel, occ, total, lites)
+        self.finish(kernel, occ, total, &lites, None)
     }
 
-    /// Profile-mode structural dedup: group blocks by
-    /// [`Kernel::block_signature`], execute one representative per group, and
-    /// replay its cost for the other members. Returns `None` when the kernel
-    /// offers no signatures or no two blocks share one (the plain streaming
-    /// path is then cheaper). Bit-identity with brute force holds because
-    /// totals are exact `u64` sums (merging a representative's cost once per
-    /// member is the same arithmetic) and per-block records land back at
-    /// their original linear indices, so the scheduler sees the same order.
-    fn run_profile_dedup(&self, kernel: &dyn Kernel, occ: Occupancy) -> Option<LaunchStats> {
+    /// Structural block dedup: group blocks by [`Kernel::block_signature`],
+    /// record one representative's cost per signature class, and charge each
+    /// class once per member. Profile launches execute only the
+    /// representatives; functional launches still execute every block for
+    /// its outputs, the non-representatives with cost recording off. Returns
+    /// `None` when the kernel offers no signatures or no two blocks share one
+    /// (the plain streaming path is then cheaper).
+    ///
+    /// Bit-identity with brute force holds because equal signatures must
+    /// record bit-identical [`BlockCost`]s, totals are exact `u64` sums (a
+    /// class's cost times its member count is the same arithmetic as adding
+    /// it once per member), and the per-block cycles land back at their
+    /// original linear indices, so the scheduler sees the same order. The
+    /// functional half also relies on the standing invariant that a kernel's
+    /// output cannot depend on whether cost recording is on (cached
+    /// functional replays already rely on it).
+    fn run_dedup(
+        &self,
+        kernel: &dyn Kernel,
+        functional: bool,
+        occ: Occupancy,
+    ) -> Option<LaunchStats> {
         let grid = kernel.grid();
         let n_blocks = grid.size();
         let (unique, member) = self.dedup_plan(kernel)?;
@@ -592,121 +598,72 @@ impl Gpu {
         let costs: Vec<BlockCost> = unique
             .par_iter()
             .map(|&lin| {
-                let mut ctx = BlockContext::new(false);
+                let mut ctx = BlockContext::new(functional);
                 kernel.execute_block(grid.delinearize(lin), &mut ctx);
                 ctx.cost
             })
             .collect();
 
-        Some(self.finish_dedup(kernel, occ, &costs, &member))
-    }
-
-    /// Functional-mode structural dedup: every block still executes for its
-    /// outputs, but only one representative per signature records a cost
-    /// trace — the rest run with recording disabled (their cost is replayed
-    /// from the representative, exactly as in profile mode). Sound for the
-    /// same reason [`Gpu::run_profile_dedup`] is (equal signatures must
-    /// record bit-identical [`BlockCost`]), plus the standing invariant that
-    /// a kernel's functional output cannot depend on whether cost recording
-    /// is on (cached functional replays already rely on it).
-    fn run_functional_dedup(&self, kernel: &dyn Kernel, occ: Occupancy) -> Option<LaunchStats> {
-        let grid = kernel.grid();
-        let n_blocks = grid.size();
-        let (unique, member) = self.dedup_plan(kernel)?;
-
-        metrics::global().incr_many(&[
-            ("dedup_blocks_total", n_blocks),
-            ("dedup_blocks_executed", unique.len() as u64),
-        ]);
-
-        // Pass A: representatives run functionally WITH cost recording.
-        let costs: Vec<BlockCost> = unique
-            .par_iter()
-            .map(|&lin| {
-                let mut ctx = BlockContext::new(true);
-                kernel.execute_block(grid.delinearize(lin), &mut ctx);
-                ctx.cost
-            })
-            .collect();
-
-        // Pass B: every other block runs functionally with recording off —
+        // Functional launches: every other block runs with recording off —
         // the kernels' `ctx.recording()` gates skip the cost-only work, and
         // staging goes through the warm scratch arena.
-        let mut is_rep = vec![false; n_blocks as usize];
-        for &lin in &unique {
-            is_rep[lin as usize] = true;
+        if functional {
+            (0..n_blocks).into_par_iter().for_each(|lin| {
+                if unique[member[lin as usize] as usize] != lin {
+                    let mut ctx = BlockContext::replay();
+                    kernel.execute_block(grid.delinearize(lin), &mut ctx);
+                }
+            });
         }
-        (0..n_blocks).into_par_iter().for_each(|lin| {
-            if is_rep[lin as usize] {
-                return;
-            }
-            let mut ctx = BlockContext::replay();
-            kernel.execute_block(grid.delinearize(lin), &mut ctx);
-        });
 
-        Some(self.finish_dedup(kernel, occ, &costs, &member))
+        let mut counts = vec![0u64; costs.len()];
+        for &slot in &member {
+            counts[slot as usize] += 1;
+        }
+        let mut total = BlockCost::default();
+        for (cost, &k) in costs.iter().zip(&counts) {
+            total.merge_scaled(cost, k);
+        }
+        let classes: Vec<BlockCostLite> = costs.iter().map(BlockCostLite::from).collect();
+        Some(self.finish(kernel, occ, total, &classes, Some(&member)))
     }
 
     /// Group blocks by structural signature. Returns `(unique, member)`:
     /// `unique` lists the blocks that really execute (signature-less blocks
     /// and first occurrences); `member[i]` is the slot in `unique` whose cost
-    /// block `i` replays. Signatures are computed in parallel (they can walk
-    /// per-row metadata); only the grouping is serial. Returns `None` when no
-    /// two blocks share a signature (the plain streaming path is cheaper).
-    fn dedup_plan(&self, kernel: &dyn Kernel) -> Option<(Vec<u64>, Vec<usize>)> {
+    /// block `i` replays. Signatures are computed in parallel; only the
+    /// grouping is serial. Returns `None` when no two blocks share a
+    /// signature (the plain streaming path is cheaper).
+    fn dedup_plan(&self, kernel: &dyn Kernel) -> Option<(Vec<u64>, Vec<u32>)> {
         let grid = kernel.grid();
         let n_blocks = grid.size();
-        if n_blocks == 0 {
+        if n_blocks == 0 || n_blocks > u64::from(u32::MAX) {
             return None;
         }
         let sigs: Vec<Option<u64>> = (0..n_blocks)
             .into_par_iter()
             .map(|lin| kernel.block_signature(grid.delinearize(lin)))
             .collect();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut slot_of: HashMap<u64, u32, BuildHasherDefault<SignatureHasher>> =
+            HashMap::default();
         let mut unique: Vec<u64> = Vec::new();
-        let mut member: Vec<usize> = Vec::with_capacity(n_blocks as usize);
+        let mut member: Vec<u32> = Vec::with_capacity(n_blocks as usize);
         for (lin, sig) in sigs.into_iter().enumerate() {
-            let lin = lin as u64;
-            match sig {
-                Some(sig) => {
-                    let next = unique.len();
-                    let slot = *slot_of.entry(sig).or_insert(next);
-                    if slot == next {
-                        unique.push(lin);
-                    }
-                    member.push(slot);
-                }
-                None => {
-                    member.push(unique.len());
-                    unique.push(lin);
-                }
+            // At most `n_blocks <= u32::MAX` slots exist.
+            let next = unique.len() as u32;
+            let slot = match sig {
+                Some(sig) => *slot_of.entry(sig).or_insert(next),
+                None => next,
+            };
+            if slot == next {
+                unique.push(lin as u64);
             }
+            member.push(slot);
         }
         if unique.len() as u64 == n_blocks {
             return None;
         }
         Some((unique, member))
-    }
-
-    /// Shared tail of the dedup paths: replay each representative's cost for
-    /// its members (exact `u64` sums, landing at the original linear indices)
-    /// and hand the totals to the cache/timing/scheduling models.
-    fn finish_dedup(
-        &self,
-        kernel: &dyn Kernel,
-        occ: Occupancy,
-        costs: &[BlockCost],
-        member: &[usize],
-    ) -> LaunchStats {
-        let mut total = BlockCost::default();
-        let mut lites = Vec::with_capacity(member.len());
-        for &slot in member {
-            let c = &costs[slot];
-            total.merge(c);
-            lites.push(BlockCostLite::from(c));
-        }
-        self.finish(kernel, occ, total, lites)
     }
 
     /// The pre-fast-path launch engine: collect one full [`BlockCost`] per
@@ -768,17 +725,20 @@ impl Gpu {
         Ok(self.assemble(kernel, occ, &total, dram.total_bytes(), &block_cycles))
     }
 
-    /// Turn the aggregated trace plus compact per-block records into launch
-    /// statistics (cache model, per-block timing, scheduling, rooflines).
+    /// Turn the aggregated trace plus compact signature-class records into
+    /// launch statistics (cache model, per-block timing, scheduling,
+    /// rooflines). `member[i]` names the class of block `i`; `None` is the
+    /// identity map, one class per block.
     fn finish(
         &self,
         kernel: &dyn Kernel,
         occ: Occupancy,
         total: BlockCost,
-        lites: Vec<BlockCostLite>,
+        classes: &[BlockCostLite],
+        member: Option<&[u32]>,
     ) -> LaunchStats {
         let dev = &self.dev;
-        let n_blocks = lites.len() as u64;
+        let n_blocks = member.map_or(classes.len(), <[u32]>::len) as u64;
         let req = kernel.block_requirements();
 
         // 2. Apply the cache model to the aggregate traffic.
@@ -786,7 +746,7 @@ impl Gpu {
         let dram = cache::dram_traffic(dev, &buffers, &total.gmem);
         let dram_bytes = dram.total_bytes();
 
-        // 3. Per-block cycles. Each block's DRAM share uses the per-buffer
+        // 3. Per-class cycles. Each block's DRAM share uses the per-buffer
         // miss rates from the aggregate cache model.
         let warps_per_block = req.threads.div_ceil(dev.warp_size);
         let eff_warps = occupancy::effective_warps_per_sm(dev, &occ, n_blocks, warps_per_block);
@@ -799,7 +759,7 @@ impl Gpu {
             .min(occ.blocks_per_sm as u64)
             .max(1) as f64;
 
-        let block_cycles: Vec<f64> = lites
+        let class_cycles: Vec<f64> = classes
             .par_iter()
             .map(|c| {
                 let mut bytes = 0.0f64;
@@ -818,6 +778,14 @@ impl Gpu {
                 .total_cycles
             })
             .collect();
+        // The scheduler takes one entry per block, in linear-index order.
+        let block_cycles = match member {
+            None => class_cycles,
+            Some(member) => member
+                .iter()
+                .map(|&slot| class_cycles[slot as usize])
+                .collect(),
+        };
 
         let stats = self.assemble(kernel, occ, &total, dram_bytes, &block_cycles);
         // Every simulated launch path funnels through here (the reference
@@ -920,6 +888,30 @@ impl Gpu {
             bound_by,
             pipelines,
         }
+    }
+}
+
+/// Grouping hasher for [`Gpu::dedup_plan`]: signatures are already
+/// FNV-mixed and `HashMap` compares whole keys, so SipHash is unnecessary —
+/// hash quality affects speed here, never correctness.
+#[derive(Default)]
+struct SignatureHasher(u64);
+
+impl Hasher for SignatureHasher {
+    fn finish(&self) -> u64 {
+        // Fold the high half down first: `HashMap` buckets on the low bits,
+        // and a product's low bits see only its input's low bits.
+        (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = self.0.rotate_left(5) ^ x;
     }
 }
 
@@ -1100,6 +1092,7 @@ mod tests {
     use crate::cache::{AccessPattern, BufferSpec};
     use crate::cost::BufferId;
     use crate::dim::Dim3;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A trivial kernel for launcher-level tests.
     struct Noop {
@@ -1129,6 +1122,94 @@ mod tests {
             ctx.fma(self.cycles_of_fma, 32 * self.cycles_of_fma);
             ctx.ld_global(BufferId(0), 0, 32, 1, 4);
         }
+    }
+
+    /// Block cost depends on `x % 3` for even blocks, which sign it; odd
+    /// blocks are signature-less and each stalls a different amount, so
+    /// grouping any two of them would change the launch statistics.
+    struct MixedSignatures {
+        blocks: u32,
+        functional_runs: AtomicU64,
+    }
+
+    impl Kernel for MixedSignatures {
+        fn name(&self) -> String {
+            "mixed_signatures".into()
+        }
+        fn grid(&self) -> Dim3 {
+            Dim3::x(self.blocks)
+        }
+        fn block_dim(&self) -> Dim3 {
+            Dim3::x(128)
+        }
+        fn buffers(&self) -> Vec<BufferSpec> {
+            vec![BufferSpec {
+                id: BufferId(0),
+                name: "x",
+                footprint_bytes: 1 << 20,
+                pattern: AccessPattern::Streaming,
+            }]
+        }
+        fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
+            if ctx.functional() {
+                self.functional_runs.fetch_add(1, Ordering::Relaxed);
+            }
+            let x = u64::from(block.x);
+            ctx.fma(100 + 50 * (x % 3), 3200);
+            ctx.ld_global(BufferId(0), x * 128, 32, 1, 4);
+            if x % 2 == 1 {
+                ctx.cost.stall_cycles += x;
+            }
+        }
+        fn block_signature(&self, block: Dim3) -> Option<u64> {
+            block.x.is_multiple_of(2).then_some(u64::from(block.x % 3))
+        }
+    }
+
+    #[test]
+    fn class_compressed_tail_matches_reference_with_unsigned_blocks() {
+        let blocks = 301;
+        let k = MixedSignatures {
+            blocks,
+            functional_runs: Default::default(),
+        };
+        let gpu = Gpu::v100();
+
+        let (unique, member) = gpu.dedup_plan(&k).expect("even blocks share signatures");
+        let odd_slots: std::collections::HashSet<u32> =
+            member.iter().skip(1).step_by(2).copied().collect();
+        assert_eq!(
+            odd_slots.len(),
+            blocks as usize / 2,
+            "each None block is its own class"
+        );
+        assert_eq!(unique.len(), 3 + blocks as usize / 2);
+
+        let reference = gpu.profile_reference(&k).expect("reference");
+        assert_eq!(gpu.profile(&k), reference, "profile dedup diverged");
+
+        let brute = Gpu::v100().with_block_dedup(false).launch(&k);
+        k.functional_runs.store(0, Ordering::Relaxed);
+        let dedup = gpu.launch(&k);
+        assert_eq!(dedup, brute, "functional dedup diverged");
+        assert_eq!(dedup, reference, "functional dedup diverged from reference");
+        assert_eq!(
+            k.functional_runs.load(Ordering::Relaxed),
+            u64::from(blocks),
+            "functional dedup still executes every block once"
+        );
+    }
+
+    #[test]
+    fn signature_hasher_folds_bytes() {
+        let hash = |bytes: &[u8]| {
+            let mut h = SignatureHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_ne!(hash(b"ab"), hash(b"ba"));
+        assert_ne!(hash(b"a"), hash(b""));
+        assert_eq!(hash(b"abc"), hash(b"abc"));
     }
 
     #[test]
