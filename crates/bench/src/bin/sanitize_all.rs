@@ -8,29 +8,25 @@
 //! [`sputnik_bench::registry`] — the same list `static_audit` proves
 //! verdicts over, so the two CI gates cannot cover different kernel sets.
 //!
-//! Since the static auditor landed, the suite runs in
-//! dynamic-only-where-needed mode and checks the audit three ways:
+//! The suite runs two passes over one [`LaunchCache`]:
 //!
-//! 1. **Audited pass** (`Gpu::sanitize_cached` over a cold cache, which
-//!    audits each launch and disarms statically proven checks): the pass
-//!    whose violations gate CI.
-//! 2. **Reference pass** (`Gpu::sanitize_full`, every dynamic check
-//!    armed): every kernel's (violations, warnings) must agree with the
-//!    audited pass — a disagreement means the auditor disarmed a check
-//!    that would have fired, i.e. an unsound `static_facts` declaration.
-//! 3. **Warm replay pass** (same cache, now hot): every launch must be
-//!    served from the cache, and the pass must beat the reference pass's
-//!    wall time — the "dynamic checking only where needed" saving this
-//!    whole layer exists for, asserted on every CI run.
+//! 1. **Cold pass** (a sanitized, cached [`Launch`] request per kernel):
+//!    each launch is statically audited and then runs every dynamic check.
+//!    Its violations gate CI; a `static_facts` proof the dynamic checks
+//!    contradict shows up here as a violation.
+//! 2. **Warm replay pass** (same cache, now hot): every launch must be
+//!    served from the cache, and the pass must beat the cold pass's wall
+//!    time — the saving the sanitize memo exists for, asserted on every CI
+//!    run.
 //!
-//! Lint warnings are reported but do not fail the run; violations and
-//! disagreements do (`exit(1)`), which is what the CI gate keys on.
+//! Lint warnings are reported but do not fail the run; violations do
+//! (`exit(1)`), which is what the CI gate keys on.
 
 // Wall-timing bin: reading the host clock is the whole point here, and is
 // exactly what `clippy.toml` bans inside simulated-clock code.
 #![allow(clippy::disallowed_methods)]
 
-use gpu_sim::{Gpu, LaunchCache, LaunchSummary, SanitizerReport};
+use gpu_sim::{Gpu, Kernel, Launch, LaunchCache, LaunchSummary, Launched, SanitizerReport};
 use sputnik_bench::registry;
 use std::time::Instant;
 
@@ -53,66 +49,44 @@ fn main() {
     let mut summary = LaunchSummary::default();
     let mut failures = 0u64;
     let cache = LaunchCache::new();
+    let sanitize = |fingerprint, kernel: &dyn Kernel| {
+        gpu.run(&Launch::SANITIZE.cached(&cache, fingerprint), kernel)
+    };
 
-    // Pass 1: audited, cold cache. The registry is deterministic, so the
-    // pair index is a sound operand fingerprint.
-    println!("-- audited sanitize (statically proven checks disarmed) --");
-    let mut audited: Vec<(u64, u64)> = Vec::new();
+    // Pass 1: cold cache. The registry is deterministic, so the pair index
+    // is a sound operand fingerprint.
+    println!("-- sanitize (static audit + every dynamic check) --");
+    let t = Instant::now();
     let mut fp = 0u64;
     registry::for_each_kernel(&mut |kernel| {
         fp += 1;
-        match gpu.sanitize_cached(&cache, fp, kernel) {
-            Ok((stats, report, _)) => {
+        match sanitize(fp, kernel) {
+            Ok(Launched {
+                stats,
+                report: Some(report),
+                ..
+            }) => {
                 summary.add_sanitized(&stats, &report);
-                audited.push((report.violation_count, report.warning_count));
                 note(&report, &mut failures);
             }
+            Ok(_) => unreachable!("a sanitized launch always carries a report"),
             Err(e) => {
                 failures += 1;
-                audited.push((u64::MAX, u64::MAX));
                 println!("FAIL {}: launch error: {e}", kernel.name());
             }
         }
     });
+    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // Pass 2: the full-dynamic reference. Findings must agree with the
-    // audited pass, kernel by kernel; this is the soundness check on every
-    // `static_facts` declaration in the tree.
-    println!("-- full-dynamic reference (cross-check) --");
-    let mut idx = 0usize;
-    let t = Instant::now();
-    registry::for_each_kernel(&mut |kernel| {
-        let (a_viol, a_warn) = audited[idx];
-        idx += 1;
-        match gpu.sanitize_full(kernel) {
-            Ok((_, report)) => {
-                if (report.violation_count, report.warning_count) != (a_viol, a_warn) {
-                    failures += 1;
-                    println!(
-                        "FAIL {}: audited pass found ({a_viol} violations, {a_warn} \
-                         warnings) but the full-dynamic reference found ({}, {}) — \
-                         the static audit disarmed a check unsoundly",
-                        report.kernel, report.violation_count, report.warning_count
-                    );
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                println!("FAIL {}: reference launch error: {e}", kernel.name());
-            }
-        }
-    });
-    let full_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Pass 3: warm replay. Every launch must hit the cache, and skipping
+    // Pass 2: warm replay. Every launch must hit the cache, and skipping
     // the dynamic pass must actually be cheaper than running it.
     let t = Instant::now();
     let mut hits = 0u64;
     let mut fp = 0u64;
     registry::for_each_kernel(&mut |kernel| {
         fp += 1;
-        match gpu.sanitize_cached(&cache, fp, kernel) {
-            Ok((_, _, hit)) => hits += u64::from(hit),
+        match sanitize(fp, kernel) {
+            Ok(launched) => hits += u64::from(launched.hit),
             Err(e) => {
                 failures += 1;
                 println!("FAIL {}: warm replay error: {e}", kernel.name());
@@ -125,17 +99,17 @@ fn main() {
         failures += 1;
         println!("FAIL warm replay: only {hits}/{launches} launches served from the cache");
     }
-    if warm_ms >= full_ms {
+    if warm_ms >= cold_ms {
         failures += 1;
         println!(
-            "FAIL warm replay: {warm_ms:.1} ms did not beat the full-dynamic \
-             reference ({full_ms:.1} ms) — the sanitize cache stopped saving wall time"
+            "FAIL warm replay: {warm_ms:.1} ms did not beat the cold sanitize \
+             pass ({cold_ms:.1} ms) — the sanitize cache stopped saving wall time"
         );
     } else {
         println!(
-            "warm replay: {warm_ms:.1} ms vs full-dynamic {full_ms:.1} ms \
+            "warm replay: {warm_ms:.1} ms vs cold {cold_ms:.1} ms \
              ({:.0}% saved), {hits}/{launches} cache hits",
-            (1.0 - warm_ms / full_ms) * 100.0
+            (1.0 - warm_ms / cold_ms) * 100.0
         );
     }
 

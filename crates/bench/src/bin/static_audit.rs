@@ -5,21 +5,18 @@
 //! [`Gpu::audit`], which analyzes the launch descriptor (declared
 //! footprints, alignment residue classes, shared-memory staging bounds,
 //! grid/occupancy limits, barrier structure) against the device model and
-//! returns a per-check three-valued verdict: `proven` (the dynamic check
-//! can be disarmed), `refuted` (the launch is rejected at dispatch before
-//! a single block runs), or `needs_dynamic` (undecidable from metadata —
-//! the sanitizer keeps the check armed).
+//! returns a per-check three-valued verdict: `proven` (holds for every
+//! block), `refuted` (the launch funnel rejects the launch before a single
+//! block runs), or `needs_dynamic` (undecidable from metadata — only the
+//! sanitizer can rule).
 //!
-//! The bin then times the payoff, sweeping the same registry four ways:
+//! The bin then times the registry three ways:
 //!
 //! * `audit` — the static pass alone. Pure metadata analysis; orders of
 //!   magnitude cheaper than any dynamic sweep.
-//! * `full` — `Gpu::sanitize_full`, every dynamic check armed (the
-//!   pre-audit `sanitize_all` behavior).
-//! * `audited` — `Gpu::sanitize`, proven checks disarmed. The cross-block
-//!   racecheck has no static counterpart and stays on, so this bounds the
-//!   audit's first-launch saving.
-//! * `cached` — `Gpu::sanitize_cached` against a warm [`LaunchCache`]:
+//! * `full` — an uncached sanitized [`Launch`] request: the audit plus
+//!   every dynamic check.
+//! * `cached` — the same request against a warm [`LaunchCache`]:
 //!   fingerprint-identical repeat launches replay the memoized report and
 //!   skip the whole dynamic pass. This is the production configuration
 //!   (`sanitize_all` runs it) and where the wall time actually collapses,
@@ -32,14 +29,13 @@
 //! `proven` to `needs_dynamic` is a lost static guarantee), zero
 //! refutations on shipped kernels, the >= 60% proven floor — plus the
 //! in-process wall ratios (audit and cached sweeps must stay far cheaper
-//! than the full dynamic sweep; the audited sweep must never be
-//! meaningfully slower).
+//! than the full dynamic sweep).
 
 // Wall-timing bin: reading the host clock is the whole point here, and is
 // exactly what `clippy.toml` bans inside simulated-clock code.
 #![allow(clippy::disallowed_methods)]
 
-use gpu_sim::{CheckClass, Gpu, LaunchCache, Verdict};
+use gpu_sim::{CheckClass, Gpu, Kernel, Launch, LaunchCache, Launched, Verdict};
 use sputnik_bench::{gate, has_flag, registry, Table};
 use std::time::Instant;
 
@@ -56,6 +52,15 @@ fn ok<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
         eprintln!("static_audit: {what}: {e}");
         std::process::exit(1);
     })
+}
+
+/// One sanitized launch, through `cache` under `fingerprint` when given.
+fn sanitize(gpu: &Gpu, cache: Option<(&LaunchCache, u64)>, kernel: &dyn Kernel) -> Launched {
+    let req = Launch {
+        cache,
+        ..Launch::SANITIZE
+    };
+    ok(gpu.run(&req, kernel), "sanitize")
 }
 
 fn class_idx(class: CheckClass) -> usize {
@@ -152,10 +157,10 @@ fn main() {
         println!("REFUTED {r}");
     }
 
-    // Pass 2: what the audit buys. Same registry swept four ways. Warm up
-    // once so worker pools and arenas do not bill the first measured sweep.
+    // Pass 2: what each check level costs. Warm up once so worker pools
+    // and arenas do not bill the first measured sweep.
     registry::for_each_kernel(&mut |kernel| {
-        ok(gpu.sanitize_full(kernel), "warmup launch");
+        sanitize(&gpu, None, kernel);
     });
     let t = Instant::now();
     for _ in 0..reps {
@@ -167,24 +172,17 @@ fn main() {
     let t = Instant::now();
     for _ in 0..reps {
         registry::for_each_kernel(&mut |kernel| {
-            ok(gpu.sanitize_full(kernel), "full sanitize");
+            sanitize(&gpu, None, kernel);
         });
     }
     let full_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-    let t = Instant::now();
-    for _ in 0..reps {
-        registry::for_each_kernel(&mut |kernel| {
-            ok(gpu.sanitize(kernel), "audited sanitize");
-        });
-    }
-    let audited_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
     // The registry is deterministic, so the pair index is a sound operand
     // fingerprint: same index, same operands.
     let cache = LaunchCache::new();
     let mut fp = 0u64;
     registry::for_each_kernel(&mut |kernel| {
         fp += 1;
-        ok(gpu.sanitize_cached(&cache, fp, kernel), "cache fill");
+        sanitize(&gpu, Some((&cache, fp)), kernel);
     });
     let t = Instant::now();
     let mut cache_hits = 0u64;
@@ -192,20 +190,16 @@ fn main() {
         let mut fp = 0u64;
         registry::for_each_kernel(&mut |kernel| {
             fp += 1;
-            let (_, _, hit) = ok(gpu.sanitize_cached(&cache, fp, kernel), "cached sanitize");
-            cache_hits += u64::from(hit);
+            cache_hits += u64::from(sanitize(&gpu, Some((&cache, fp)), kernel).hit);
         });
     }
     let cached_ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
     let audit_vs_full = audit_sweep_ms / full_ms.max(1e-9);
-    let audited_vs_full = audited_ms / full_ms.max(1e-9);
     let cached_vs_full = cached_ms / full_ms.max(1e-9);
     println!(
         "sweep walls [{reps} reps]: audit {audit_sweep_ms:.2} ms ({:.1}% of full), \
-         full {full_ms:.1} ms, audited {audited_ms:.1} ms ({:.1}%), \
-         warm-cache {cached_ms:.1} ms ({:.1}%, {cache_hits} hits)",
+         full {full_ms:.1} ms, warm-cache {cached_ms:.1} ms ({:.1}%, {cache_hits} hits)",
         audit_vs_full * 100.0,
-        audited_vs_full * 100.0,
         cached_vs_full * 100.0
     );
 
@@ -233,10 +227,8 @@ fn main() {
     json.push_str(&format!("  \"proven_frac\": {proven_frac:.4},\n"));
     json.push_str(&format!("  \"audit_ms\": {audit_sweep_ms:.3},\n"));
     json.push_str(&format!("  \"sanitize_full_ms\": {full_ms:.3},\n"));
-    json.push_str(&format!("  \"sanitize_audited_ms\": {audited_ms:.3},\n"));
     json.push_str(&format!("  \"sanitize_cached_ms\": {cached_ms:.3},\n"));
     json.push_str(&format!("  \"audit_vs_full\": {audit_vs_full:.4},\n"));
-    json.push_str(&format!("  \"audited_vs_full\": {audited_vs_full:.4},\n"));
     json.push_str(&format!("  \"cached_vs_full\": {cached_vs_full:.4}\n}}\n"));
     let out = "BENCH_staticwall.json";
     match std::fs::write(out, &json) {
@@ -278,12 +270,9 @@ fn main() {
             // stay orders of magnitude cheaper than the dynamic sweep it
             // replaces checks of — 0.25 is hugely generous vs the ~0.01
             // observed. The warm-cache sweep (production mode) must keep
-            // collapsing the dynamic cost. The audited cold sweep only has
-            // the maskable checks to shed — the always-on racecheck bounds
-            // its saving — so it is gated as "never meaningfully slower".
+            // collapsing the dynamic cost.
             gate::require_not_above("audit_vs_full", 0.25, audit_vs_full, 1.0)?;
             gate::require_not_above("cached_vs_full", 0.60, cached_vs_full, 1.0)?;
-            gate::require_not_above("audited_vs_full", 1.0, audited_vs_full, 1.15)?;
             gate::require_exact("cache_hits", u64::from(reps) * pairs, cache_hits)?;
             Ok(())
         });

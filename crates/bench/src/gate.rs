@@ -7,8 +7,9 @@
 //! anyone knows what moved.
 //!
 //! The vendored serde stub cannot deserialize, so baselines are read with
-//! the same flat-JSON scanner the bins use to write them.
+//! the simulator's own JSON reader ([`gpu_sim::trace::parse_json`]).
 
+use gpu_sim::trace::{parse_json, Json};
 use std::io::Read as _;
 
 /// Read a baseline JSON file into memory.
@@ -20,27 +21,26 @@ pub fn read_baseline(path: &str) -> Result<String, String> {
     Ok(text)
 }
 
-/// Extract the raw text of `"key": <value>` from a flat JSON object.
-pub fn json_raw<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// A named number from the baseline, or an error naming the file.
+fn metric(text: &str, key: &str, path: &str) -> Result<Json, String> {
+    let doc = parse_json(text).map_err(|e| format!("cannot parse baseline {path}: {e}"))?;
+    doc.get(key)
+        .cloned()
+        .ok_or_else(|| format!("no {key} in baseline {path}"))
 }
 
 /// A named metric parsed from the baseline, or an error naming the file.
 pub fn metric_f64(text: &str, key: &str, path: &str) -> Result<f64, String> {
-    json_raw(text, key)
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| format!("no {key} in baseline {path}"))
+    metric(text, key, path)?
+        .as_num()
+        .ok_or_else(|| format!("{key} in baseline {path} is not a number"))
 }
 
 /// Integer variant of [`metric_f64`].
 pub fn metric_u64(text: &str, key: &str, path: &str) -> Result<u64, String> {
-    json_raw(text, key)
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| format!("no {key} in baseline {path}"))
+    metric(text, key, path)?
+        .as_u64()
+        .ok_or_else(|| format!("{key} in baseline {path} is not a count"))
 }
 
 /// Render the standard failure line: metric, baseline, observed, delta.

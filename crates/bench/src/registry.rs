@@ -51,7 +51,7 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
         let b = Matrix::<f32>::random(k, n, seed + 1);
 
         // Sputnik SpMM under the default config, the heuristic config, and
-        // with row swizzling (the same ladder `sputnik::sanitize` builds).
+        // with row swizzling.
         for cfg in [
             SpmmConfig::default(),
             SpmmConfig::heuristic::<f32>(n),
@@ -60,11 +60,7 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
                 ..SpmmConfig::heuristic::<f32>(n)
             },
         ] {
-            let swizzle = if cfg.row_swizzle {
-                RowSwizzle::by_length_desc(&a)
-            } else {
-                RowSwizzle::identity(a.rows())
-            };
+            let swizzle = RowSwizzle::new(&a, cfg.row_swizzle);
             let mut out = Matrix::<f32>::zeros(m, n);
             let kernel = SpmmKernel::try_new(&a, &b, &mut out, &swizzle, cfg)
                 .unwrap_or_else(|e| panic!("registry: spmm construction: {e}"));

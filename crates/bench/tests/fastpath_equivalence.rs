@@ -8,9 +8,9 @@
 //!
 //! * `Gpu::profile_reference` — the old collect-every-`BlockCost` path, kept
 //!   as ground truth;
-//! * `Gpu::with_block_dedup(false).try_profile` — the streaming reduction
-//!   alone;
-//! * `Gpu::try_profile` — streaming + dedup (kernels with signatures).
+//! * `Gpu::with_block_dedup(false)` profile requests — the streaming
+//!   reduction alone;
+//! * plain profile requests — streaming + dedup (kernels with signatures).
 //!
 //! All three must produce equal [`LaunchStats`] (`PartialEq` covers every
 //! field, floats included — equality, not tolerance). A second gate checks
@@ -24,7 +24,7 @@ use baselines::{
     AsptDirection, AsptPlan, BlockSpmmKernel, EllSpmmKernel, GemmKernel, MergeSpmmKernel,
     NnzSplitSpmmKernel, TransposeKernel,
 };
-use gpu_sim::{Gpu, Kernel};
+use gpu_sim::{Gpu, Kernel, Launch};
 use sparse::ell::EllMatrix;
 use sparse::{block, gen, Matrix, RowSwizzle};
 use sputnik::{
@@ -47,10 +47,12 @@ fn assert_fastpath_identical(kernel: &dyn Kernel, label: &str) {
         .unwrap_or_else(|e| panic!("{label}: reference launch failed: {e}"));
     let streamed = Gpu::v100()
         .with_block_dedup(false)
-        .try_profile(kernel)
+        .run(&Launch::PROFILE, kernel)
+        .map(|l| l.stats)
         .unwrap_or_else(|e| panic!("{label}: streamed launch failed: {e}"));
     let dedup = Gpu::v100()
-        .try_profile(kernel)
+        .run(&Launch::PROFILE, kernel)
+        .map(|l| l.stats)
         .unwrap_or_else(|e| panic!("{label}: dedup launch failed: {e}"));
     assert_eq!(streamed, reference, "{label}: streaming reduction diverged");
     assert_eq!(dedup, reference, "{label}: block dedup diverged");
@@ -73,11 +75,7 @@ fn all_kernels_fastpath_bit_identical() {
                 ..SpmmConfig::heuristic::<f32>(n)
             },
         ] {
-            let swizzle = if cfg.row_swizzle {
-                RowSwizzle::by_length_desc(&a)
-            } else {
-                RowSwizzle::identity(a.rows())
-            };
+            let swizzle = RowSwizzle::new(&a, cfg.row_swizzle);
             let kernel = sputnik::SpmmKernel::<f32>::for_profile(&a, n, &swizzle, cfg);
             assert_fastpath_identical(&kernel, &label("spmm"));
         }
@@ -218,7 +216,8 @@ fn functional_launch_unaffected_by_dedup_setting() {
             let kernel =
                 sputnik::SpmmKernel::try_new(&a, &b, &mut out, &swizzle, SpmmConfig::default())
                     .unwrap_or_else(|e| panic!("{e}"));
-            gpu.try_launch(&kernel).unwrap_or_else(|e| panic!("{e}"))
+            gpu.run(&Launch::FUNCTIONAL, &kernel)
+                .map_or_else(|e| panic!("{e}"), |l| l.stats)
         };
         (out, stats)
     };
@@ -350,7 +349,8 @@ fn profile_launches_never_touch_outputs() {
                 sputnik::SpmmKernel::try_new(&a, &b, &mut out, &swizzle, SpmmConfig::default())
                     .unwrap_or_else(|e| panic!("{e}"));
             let _ = Gpu::v100()
-                .try_profile(&kernel)
+                .run(&Launch::PROFILE, &kernel)
+                .map(|l| l.stats)
                 .unwrap_or_else(|e| panic!("{e}"));
         }
         assert!(
@@ -365,7 +365,8 @@ fn profile_launches_never_touch_outputs() {
         {
             let kernel = FallbackSpmmKernel::new(&a, &b, &mut out);
             let _ = Gpu::v100()
-                .try_profile(&kernel)
+                .run(&Launch::PROFILE, &kernel)
+                .map(|l| l.stats)
                 .unwrap_or_else(|e| panic!("{e}"));
         }
         assert!(
@@ -382,7 +383,8 @@ fn profile_launches_never_touch_outputs() {
             .collect();
         let kernel = NnzSplitSpmmKernel::new(&a, &b, &out);
         let _ = Gpu::v100()
-            .try_profile(&kernel)
+            .run(&Launch::PROFILE, &kernel)
+            .map(|l| l.stats)
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(
             out.iter()

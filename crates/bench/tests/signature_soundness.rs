@@ -79,11 +79,7 @@ fn spmm_signatures_sound_on_random_topologies() {
                 ..SpmmConfig::heuristic::<f32>(n)
             },
         ] {
-            let swizzle = if cfg.row_swizzle {
-                RowSwizzle::by_length_desc(&a)
-            } else {
-                RowSwizzle::identity(a.rows())
-            };
+            let swizzle = RowSwizzle::new(&a, cfg.row_swizzle);
             let mut out = Matrix::<f32>::zeros(m, n);
             let kernel = SpmmKernel::try_new(&a, &b, &mut out, &swizzle, cfg)
                 .unwrap_or_else(|e| panic!("spmm construction ({m}x{k}x{n}): {e}"));

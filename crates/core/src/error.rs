@@ -45,7 +45,7 @@ pub enum SputnikError {
     CorruptOutput { kernel: String, reason: String },
     /// The static launch auditor (`gpu_sim::static_check`) refuted a safety
     /// property of the launch descriptor — the launch was rejected before a
-    /// single block was simulated.
+    /// single block was simulated (see [`gpu_sim::Gpu::run`]).
     StaticallyRefuted {
         kernel: String,
         /// The refuted check class (`bounds`, `alignment`, ...).
@@ -151,6 +151,15 @@ impl From<LaunchError> for SputnikError {
             },
             LaunchError::OccupancyZero { kernel } => SputnikError::OccupancyZero { kernel },
             LaunchError::DeviceFault(fault) => SputnikError::DeviceFault(fault),
+            LaunchError::StaticallyRefuted {
+                kernel,
+                class,
+                detail,
+            } => SputnikError::StaticallyRefuted {
+                kernel,
+                class: class.name().to_string(),
+                detail,
+            },
         }
     }
 }

@@ -31,7 +31,7 @@
 //!   skipped `fma(val, +0.0, acc)` would have returned `acc` bit-for-bit.
 //! * Surviving elements replay the *exact* per-element `mul_add` order of
 //!   [`crate::spmm::SpmmKernel`]: both kernels resolve their iteration
-//!   space through the shared [`crate::spmm::resolve_subwarp`].
+//!   space through the shared `spmm::resolve_subwarp`.
 //!
 //! Therefore `joint_spmm` output is bit-identical to `spmm` output on the
 //! same operands — asserted per-element in the tests and in the `jointwall`
@@ -62,8 +62,8 @@ use crate::spmm::{
 };
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchKey, LaunchStats, SmemScope,
-    StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
+    BufferSpec, Deferred, Dim3, Fingerprint, Gpu, Kernel, Launch, LaunchCache, LaunchStats,
+    SmemScope, StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
 use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
 
@@ -562,7 +562,7 @@ impl<T: Scalar> Kernel for JointSpmmKernel<'_, T> {
     /// Structural cost signature: the dense kernel's inputs plus everything
     /// the skip model adds — per-strip union-live counts and probe-gather
     /// shapes, per-subwarp live totals. Both the signature and `cost_warp`
-    /// derive these from the same [`JointSpmmKernel::warp_liveness`] walk,
+    /// derive these from the same `JointSpmmKernel::warp_liveness` walk,
     /// so signature equality implies bit-identical recorded costs.
     fn block_signature(&self, block: Dim3) -> Option<u64> {
         let cfg = &self.cfg;
@@ -796,8 +796,8 @@ pub fn joint_spmm<T: Scalar>(
 }
 
 /// Fallible joint SpMM: validates shapes, config legality (including the
-/// warp-uniform tile constraint), and operand finiteness, gates the launch
-/// on the static auditor, and launches functionally. Returns `(C, stats)`;
+/// warp-uniform tile constraint), and operand finiteness, then launches
+/// through [`Gpu::run`] (audited, like every launch). Returns `(C, stats)`;
 /// the output is bit-identical to [`crate::try_spmm`] on the same operands.
 pub fn try_joint_spmm<T: Scalar>(
     gpu: &Gpu,
@@ -808,19 +808,14 @@ pub fn try_joint_spmm<T: Scalar>(
 ) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
+    let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
     let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let stats = {
+    let launched = {
         let kernel = JointSpmmKernel::try_new(a, b, &mut out, &swizzle, lut, cfg)?;
-        crate::dispatch::audit_launch(gpu, &kernel)?;
-        gpu.try_launch(&kernel)?
+        gpu.run(&Launch::FUNCTIONAL, &kernel)?
     };
     record_skip_metrics(a, lut);
-    Ok((out, stats))
+    Ok((out, launched.stats))
 }
 
 /// Profile joint SpMM (cost model only): needs the sparse topology and the
@@ -833,17 +828,7 @@ pub fn joint_spmm_profile<T: Scalar>(
     lut: &PatternLut,
     cfg: SpmmConfig,
 ) -> LaunchStats {
-    assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
-    let kernel = JointSpmmKernel::<T>::for_profile(a, n, &swizzle, lut, cfg)
-        .unwrap_or_else(|e| panic!("{e}"));
-    let stats = gpu.profile(&kernel);
-    record_skip_metrics(a, lut);
-    stats
+    profile_launch(gpu, None, a, b_rows, n, lut, cfg).0
 }
 
 /// [`joint_spmm_profile`] through a cross-launch [`LaunchCache`]: returns
@@ -859,23 +844,40 @@ pub fn joint_spmm_profile_cached<T: Scalar>(
     lut: &PatternLut,
     cfg: SpmmConfig,
 ) -> (LaunchStats, bool) {
+    profile_launch(gpu, Some(cache), a, b_rows, n, lut, cfg)
+}
+
+/// The profile request behind [`joint_spmm_profile`] and
+/// [`joint_spmm_profile_cached`]. A cache hit builds neither the swizzle
+/// nor the kernel; only a simulated launch records the skip metrics.
+fn profile_launch<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    a: &CsrMatrix<T>,
+    b_rows: usize,
+    n: usize,
+    lut: &PatternLut,
+    cfg: SpmmConfig,
+) -> (LaunchStats, bool) {
     assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    if gpu.fault_plan().is_some() {
-        return (joint_spmm_profile(gpu, a, b_rows, n, lut, cfg), false);
-    }
-    let key = LaunchKey {
-        kernel: JointSpmmKernel::<T>::launch_name(&cfg, lut),
-        fingerprint: joint_fingerprint(a, n, lut),
-        device: gpu.device().name.clone(),
-        arch: gpu.device().arch_fingerprint(),
+    let target = Deferred::new(
+        || JointSpmmKernel::<T>::launch_name(&cfg, lut),
+        |run| {
+            let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
+            let kernel = JointSpmmKernel::<T>::for_profile(a, n, &swizzle, lut, cfg)
+                .unwrap_or_else(|e| panic!("{e}"));
+            run(&kernel);
+        },
+    );
+    let req = Launch {
+        cache: cache.map(|c| (c, joint_fingerprint(a, n, lut))),
+        ..Launch::PROFILE
     };
-    if let Some(stats) = cache.lookup(&key) {
-        gpu.note_cache_hit(&stats);
-        return (stats, true);
+    let launched = gpu.run(&req, &target).unwrap_or_else(|e| panic!("{e}"));
+    if !launched.hit {
+        record_skip_metrics(a, lut);
     }
-    let stats = joint_spmm_profile(gpu, a, b_rows, n, lut, cfg);
-    cache.insert(key, stats.clone());
-    (stats, false)
+    (launched.stats, launched.hit)
 }
 
 #[cfg(test)]

@@ -27,8 +27,7 @@ pub use batched::{
 };
 pub use config::{SddmmConfig, SpmmConfig};
 pub use dispatch::{
-    launch_audited, sanitize, sanitize_cached, spmm_cached, DegradationStats, DispatchPolicy,
-    DispatchReport, FallbackSpmmKernel, Rung,
+    spmm_cached, DegradationStats, DispatchPolicy, DispatchReport, FallbackSpmmKernel, Rung,
 };
 pub use error::SputnikError;
 pub use joint::{

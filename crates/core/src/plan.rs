@@ -33,7 +33,10 @@ use crate::sddmm::{mask_fingerprint, sddmm_profile, sddmm_profile_cached, try_sd
 use crate::softmax::{sparse_softmax_scaled, sparse_softmax_scaled_profile};
 use crate::spmm::{require_finite, spmm_profile, spmm_profile_cached, try_spmm};
 use crate::tune::AutoTuner;
-use gpu_sim::{trace, Gpu, Kernel, LaunchCache, SanitizerReport, SddmmSoftmaxSpmmKernel, Verdict};
+use gpu_sim::{
+    trace, Gpu, Kernel, Launch, LaunchCache, Launched, SanitizerReport, SddmmSoftmaxSpmmKernel,
+    Verdict,
+};
 use sparse::{CsrMatrix, Matrix};
 
 /// One node of the launch-plan IR: an operation over the shared mask
@@ -279,7 +282,7 @@ pub fn try_sparse_attention_fused(
 
     if decision.fused {
         let mut context = Matrix::<f32>::zeros(mask.rows(), n);
-        let (stats, report, hit) = {
+        let launched = {
             let kernel = SddmmSoftmaxSpmmKernel::new(
                 q,
                 kmat,
@@ -291,37 +294,24 @@ pub fn try_sparse_attention_fused(
                 configs.spmm.block_items_x as usize,
                 decision.plan_tag.clone(),
             );
-            crate::dispatch::audit_launch(gpu, &kernel)?;
-            let track = gpu.device().name.clone();
-            let traced = trace::enabled();
-            if traced {
-                trace::begin_span("fusion", &track, &kernel.name());
-            }
-            let result = match cache {
-                Some(c) => gpu.sanitize_cached(
-                    c,
-                    plan_fingerprint(mask, d, n, scale, &decision.plan_tag),
-                    &kernel,
-                ),
-                None => gpu.sanitize(&kernel).map(|(s, r)| (s, r, false)),
+            let req = Launch {
+                cache: cache.map(|c| (c, plan_fingerprint(mask, d, n, scale, &decision.plan_tag))),
+                ..Launch::SANITIZE
             };
-            if traced {
-                trace::end_span(&track);
-            }
-            result.map_err(SputnikError::from)?
+            fusion_span(gpu, &req, &kernel)?
         };
         Ok(FusedAttention {
             context,
             time: FusedAttentionTime {
                 fused: true,
-                fused_us: stats.time_us,
+                fused_us: launched.stats.time_us,
                 launches: 1,
-                cache_hits: usize::from(hit),
+                cache_hits: usize::from(launched.hit),
                 ..Default::default()
             },
             decision,
             configs,
-            report: Some(report),
+            report: launched.report,
         })
     } else {
         let (context, time) = sparse_attention_unfused(gpu, q, kmat, v, mask, scale, &configs)?;
@@ -407,30 +397,17 @@ pub fn sparse_attention_fused_profile(
             configs.spmm.block_items_x as usize,
             decision.plan_tag.clone(),
         );
-        crate::dispatch::audit_launch(gpu, &kernel)?;
-        let track = gpu.device().name.clone();
-        let traced = trace::enabled();
-        if traced {
-            trace::begin_span("fusion", &track, &kernel.name());
-        }
-        let result = match cache {
-            Some(c) => gpu.try_profile_cached(
-                c,
-                plan_fingerprint(mask, k, n, scale, &decision.plan_tag),
-                &kernel,
-            ),
-            None => gpu.try_profile(&kernel).map(|s| (s, false)),
+        let req = Launch {
+            cache: cache.map(|c| (c, plan_fingerprint(mask, k, n, scale, &decision.plan_tag))),
+            ..Launch::PROFILE
         };
-        if traced {
-            trace::end_span(&track);
-        }
-        let (stats, hit) = result.map_err(SputnikError::from)?;
+        let launched = fusion_span(gpu, &req, &kernel)?;
         Ok((
             FusedAttentionTime {
                 fused: true,
-                fused_us: stats.time_us,
+                fused_us: launched.stats.time_us,
                 launches: 1,
-                cache_hits: usize::from(hit),
+                cache_hits: usize::from(launched.hit),
                 ..Default::default()
             },
             decision,
@@ -463,6 +440,21 @@ pub fn sparse_attention_fused_profile(
             configs,
         ))
     }
+}
+
+/// Run the fused kernel's request inside a `fusion` trace span on the
+/// device's track.
+fn fusion_span(gpu: &Gpu, req: &Launch<'_>, kernel: &dyn Kernel) -> Result<Launched, SputnikError> {
+    let track = gpu.device().name.clone();
+    let traced = trace::enabled();
+    if traced {
+        trace::begin_span("fusion", &track, &kernel.name());
+    }
+    let result = gpu.run(req, kernel);
+    if traced {
+        trace::end_span(&track);
+    }
+    Ok(result?)
 }
 
 /// The attention pipeline's canonical op chain.

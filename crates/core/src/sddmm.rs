@@ -18,8 +18,8 @@ use crate::error::SputnikError;
 use crate::spmm::require_finite;
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchKey, LaunchStats, StageBound,
-    StaticFacts, SyncUnsafeSlice,
+    BufferSpec, Deferred, Dim3, Fingerprint, Gpu, Kernel, Launch, LaunchCache, LaunchStats,
+    StageBound, StaticFacts, SyncUnsafeSlice,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
@@ -504,9 +504,9 @@ pub fn sddmm<T: Scalar>(
     try_sddmm(gpu, lhs, rhs, mask, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible SDDMM: validates shapes, configuration legality, operand
-/// finiteness, and device resource limits, then launches through
-/// [`Gpu::try_launch`] so injected faults surface as errors.
+/// Fallible SDDMM: validates shapes, configuration legality and operand
+/// finiteness, then launches through [`Gpu::run`], so refuted, invalid or
+/// faulted launches surface as errors.
 pub fn try_sddmm<T: Scalar>(
     gpu: &Gpu,
     lhs: &Matrix<T>,
@@ -517,17 +517,13 @@ pub fn try_sddmm<T: Scalar>(
     require_finite("lhs", lhs.as_slice())?;
     require_finite("rhs", rhs.as_slice())?;
     require_finite("mask", mask.values())?;
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(mask)
-    } else {
-        RowSwizzle::identity(mask.rows())
-    };
+    let swizzle = RowSwizzle::new(mask, cfg.row_swizzle);
     let mut values = vec![T::zero(); mask.nnz()];
-    let stats = {
+    let launched = {
         let kernel = SddmmKernel::try_new(lhs, rhs, mask, &mut values, &swizzle, cfg)?;
-        gpu.try_launch(&kernel)?
+        gpu.run(&Launch::FUNCTIONAL, &kernel)?
     };
-    Ok((mask.with_values(values), stats))
+    Ok((mask.with_values(values), launched.stats))
 }
 
 /// Profile SDDMM (cost model only).
@@ -537,13 +533,7 @@ pub fn sddmm_profile<T: Scalar>(
     k: usize,
     cfg: SddmmConfig,
 ) -> LaunchStats {
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(mask)
-    } else {
-        RowSwizzle::identity(mask.rows())
-    };
-    let kernel = SddmmKernel::<T>::for_profile(mask, k, &swizzle, cfg);
-    gpu.profile(&kernel)
+    profile_launch(gpu, None, mask, k, cfg).0
 }
 
 /// [`sddmm_profile`] through a cross-launch [`LaunchCache`]: returns the
@@ -557,25 +547,32 @@ pub fn sddmm_profile_cached<T: Scalar>(
     k: usize,
     cfg: SddmmConfig,
 ) -> (LaunchStats, bool) {
-    // The key needs only the config-derived name, so a hit skips swizzle
-    // construction. Fault-plan GPUs must not be served from (or populate)
-    // the cache: schedules consume per-launch indices.
-    if gpu.fault_plan().is_some() {
-        return (sddmm_profile(gpu, mask, k, cfg), false);
-    }
-    let key = LaunchKey {
-        kernel: SddmmKernel::<T>::launch_name(&cfg),
-        fingerprint: mask_fingerprint(mask, k),
-        device: gpu.device().name.clone(),
-        arch: gpu.device().arch_fingerprint(),
+    profile_launch(gpu, Some(cache), mask, k, cfg)
+}
+
+/// The profile request behind [`sddmm_profile`] and
+/// [`sddmm_profile_cached`]: a cache hit builds neither the swizzle nor the
+/// kernel.
+fn profile_launch<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    mask: &CsrMatrix<T>,
+    k: usize,
+    cfg: SddmmConfig,
+) -> (LaunchStats, bool) {
+    let target = Deferred::new(
+        || SddmmKernel::<T>::launch_name(&cfg),
+        |run| {
+            let swizzle = RowSwizzle::new(mask, cfg.row_swizzle);
+            run(&SddmmKernel::<T>::for_profile(mask, k, &swizzle, cfg));
+        },
+    );
+    let req = Launch {
+        cache: cache.map(|c| (c, mask_fingerprint(mask, k))),
+        ..Launch::PROFILE
     };
-    if let Some(stats) = cache.lookup(&key) {
-        gpu.note_cache_hit(&stats);
-        return (stats, true);
-    }
-    let stats = sddmm_profile(gpu, mask, k, cfg);
-    cache.insert(key, stats.clone());
-    (stats, false)
+    let launched = gpu.run(&req, &target).unwrap_or_else(|e| panic!("{e}"));
+    (launched.stats, launched.hit)
 }
 
 /// The launch-cache fingerprint for an SDDMM-shaped problem: the mask
@@ -752,11 +749,7 @@ mod tests {
                 row_swizzle: swiz,
                 ..SddmmConfig::default()
             };
-            let swizzle = if swiz {
-                RowSwizzle::by_length_desc(&mask)
-            } else {
-                RowSwizzle::identity(mask.rows())
-            };
+            let swizzle = RowSwizzle::new(&mask, swiz);
             let fast = {
                 let kernel = SddmmKernel::<f32>::for_profile(&mask, k, &swizzle, cfg);
                 Gpu::v100().profile(&kernel)

@@ -25,17 +25,15 @@
 //!   by the ring all-reduce — the standard modeling split between
 //!   numerical semantics and schedule.
 //!
-//! Every shard launch goes through [`Gpu::sanitize_cached`]: statically
-//! audited, sanitized on first sight, and replayed through the
-//! [`LaunchCache`] (functional outputs only) on repeat launches.
-//!
-//! [`Gpu::sanitize_cached`]: gpu_sim::Gpu::sanitize_cached
+//! Every shard launch is a sanitized, cached [`Launch`] request: audited
+//! and sanitized on first sight, and replayed through the [`LaunchCache`]
+//! (functional outputs only) on repeat launches.
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::SputnikError;
 use crate::sddmm::{mask_fingerprint, SddmmKernel};
 use crate::spmm::{operand_fingerprint, require_finite, SpmmKernel};
-use gpu_sim::{Fleet, FleetSync, LaunchCache, LaunchStats, SanitizerReport};
+use gpu_sim::{Fleet, FleetSync, Kernel, Launch, LaunchCache, LaunchStats, Launched};
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
 /// The result of a sharded kernel run: the assembled output plus the
@@ -148,28 +146,28 @@ pub fn k_slice<T: Scalar>(
     )?)
 }
 
-/// Reject shard launches whose sanitizer report is not clean: a sharded
-/// run must be exactly as safe as the single-device path it replaces.
-fn require_clean(report: &SanitizerReport, device: usize) -> Result<(), SputnikError> {
-    if report.clean() {
-        Ok(())
-    } else {
-        Err(SputnikError::CorruptOutput {
+/// One shard launch on `device`: run `req` (sanitized) and enqueue its cost
+/// on the device's stream. A shard whose sanitizer report is not clean is
+/// rejected: a sharded run must be exactly as safe as the single-device
+/// path it replaces.
+fn launch_shard(
+    fleet: &mut Fleet,
+    device: usize,
+    req: &Launch<'_>,
+    kernel: &dyn Kernel,
+) -> Result<Launched, SputnikError> {
+    let launched = fleet.gpu(device).run(req, kernel)?;
+    if let Some(report) = launched.report.as_ref().filter(|r| !r.clean()) {
+        return Err(SputnikError::CorruptOutput {
             kernel: report.kernel.clone(),
             reason: format!(
                 "sanitizer reported {} violation(s) on device {device}",
                 report.violation_count
             ),
-        })
+        });
     }
-}
-
-fn spmm_swizzle<T: Scalar>(shard: &CsrMatrix<T>, cfg: &SpmmConfig) -> RowSwizzle {
-    if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(shard)
-    } else {
-        RowSwizzle::identity(shard.rows())
-    }
+    fleet.submit(device, launched.stats.time_us);
+    Ok(launched)
 }
 
 /// Row-sharded (data-parallel) SpMM across a fleet: `A (m x k) * B (k x n)`
@@ -177,7 +175,7 @@ fn spmm_swizzle<T: Scalar>(shard: &CsrMatrix<T>, cfg: &SpmmConfig) -> RowSwizzle
 /// sanitized/audited and launched through the [`LaunchCache`]; shards on
 /// devices other than 0 gather their output block to device 0 over the
 /// interconnect (`B` is assumed pre-replicated, the data-parallel norm).
-/// The assembled output is bit-identical to [`crate::spmm`].
+/// The assembled output is bit-identical to [`crate::spmm()`].
 pub fn spmm_row_sharded<T: Scalar>(
     fleet: &mut Fleet,
     cache: &LaunchCache,
@@ -198,18 +196,15 @@ pub fn spmm_row_sharded<T: Scalar>(
             continue;
         }
         let shard = row_slice(a, r0, r1)?;
-        let swizzle = spmm_swizzle(&shard, &cfg);
+        let swizzle = RowSwizzle::new(&shard, cfg.row_swizzle);
         let mut out_d = Matrix::<T>::zeros(shard.rows(), n);
-        let (stats, report, hit) = {
+        let launched = {
             let kernel = SpmmKernel::try_new(&shard, b, &mut out_d, &swizzle, cfg)?;
-            fleet
-                .gpu(dev)
-                .sanitize_cached(cache, operand_fingerprint(&shard, n), &kernel)?
+            let req = Launch::SANITIZE.cached(cache, operand_fingerprint(&shard, n));
+            launch_shard(fleet, dev, &req, &kernel)?
         };
-        require_clean(&report, dev)?;
-        cache_hits += usize::from(hit);
-        fleet.submit(dev, stats.time_us);
-        shard_stats.push(stats);
+        cache_hits += usize::from(launched.hit);
+        shard_stats.push(launched.stats);
         if dev != 0 {
             let bytes = (out_d.rows() * n) as u64 * u64::from(T::BYTES);
             gathers.push(fleet.transfer(dev, 0, bytes, "gather C row-shard"));
@@ -233,7 +228,7 @@ pub fn spmm_row_sharded<T: Scalar>(
 /// dot products for its block against its slice of `lhs` rows and the full
 /// `rhs`. Per-shard value vectors concatenate in row order (CSR values are
 /// laid out row-major), so the assembled output is bit-identical to
-/// [`crate::sddmm`].
+/// [`crate::sddmm()`].
 pub fn sddmm_row_sharded<T: Scalar>(
     fleet: &mut Fleet,
     cache: &LaunchCache,
@@ -257,23 +252,16 @@ pub fn sddmm_row_sharded<T: Scalar>(
         }
         let shard_mask = row_slice(mask, r0, r1)?;
         let lhs_shard = Matrix::from_vec(r1 - r0, k, lhs.as_slice()[r0 * k..r1 * k].to_vec());
-        let swizzle = if cfg.row_swizzle {
-            RowSwizzle::by_length_desc(&shard_mask)
-        } else {
-            RowSwizzle::identity(shard_mask.rows())
-        };
+        let swizzle = RowSwizzle::new(&shard_mask, cfg.row_swizzle);
         let mut vals_d = vec![T::zero(); shard_mask.nnz()];
-        let (stats, report, hit) = {
+        let launched = {
             let kernel =
                 SddmmKernel::try_new(&lhs_shard, rhs, &shard_mask, &mut vals_d, &swizzle, cfg)?;
-            fleet
-                .gpu(dev)
-                .sanitize_cached(cache, mask_fingerprint(&shard_mask, k), &kernel)?
+            let req = Launch::SANITIZE.cached(cache, mask_fingerprint(&shard_mask, k));
+            launch_shard(fleet, dev, &req, &kernel)?
         };
-        require_clean(&report, dev)?;
-        cache_hits += usize::from(hit);
-        fleet.submit(dev, stats.time_us);
-        shard_stats.push(stats);
+        cache_hits += usize::from(launched.hit);
+        shard_stats.push(launched.stats);
         if dev != 0 && !vals_d.is_empty() {
             let bytes = vals_d.len() as u64 * u64::from(T::BYTES);
             gathers.push(fleet.transfer(dev, 0, bytes, "gather SDDMM value shard"));
@@ -332,18 +320,15 @@ pub fn spmm_k_split<T: Scalar>(
         }
         let chunk = k_slice(a, k0, k1)?;
         let b_chunk = Matrix::from_vec(k1 - k0, n, b.as_slice()[k0 * n..k1 * n].to_vec());
-        let swizzle = spmm_swizzle(&chunk, &cfg);
-        let (stats, report, hit) = {
+        let swizzle = RowSwizzle::new(&chunk, cfg.row_swizzle);
+        let launched = {
             let kernel = SpmmKernel::try_new(&chunk, &b_chunk, &mut output, &swizzle, cfg)?
                 .with_accumulate();
-            fleet
-                .gpu(dev)
-                .sanitize_cached(cache, operand_fingerprint(&chunk, n), &kernel)?
+            let req = Launch::SANITIZE.cached(cache, operand_fingerprint(&chunk, n));
+            launch_shard(fleet, dev, &req, &kernel)?
         };
-        require_clean(&report, dev)?;
-        cache_hits += usize::from(hit);
-        fleet.submit(dev, stats.time_us);
-        shard_stats.push(stats);
+        cache_hits += usize::from(launched.hit);
+        shard_stats.push(launched.stats);
     }
     fleet.ring_all_reduce((a.rows() * n) as u64 * u64::from(T::BYTES));
     let sync = fleet.sync()?;

@@ -19,8 +19,8 @@ use crate::error::SputnikError;
 use crate::roma::{MemoryAligner, ROMA_MASK_INSTRS, ROMA_PRELUDE_INSTRS};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchKey, LaunchStats, SmemScope,
-    StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
+    BufferSpec, Deferred, Dim3, Fingerprint, Gpu, Kernel, Launch, LaunchCache, LaunchStats,
+    SmemScope, StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
@@ -965,10 +965,10 @@ pub fn spmm<T: Scalar>(
     try_spmm(gpu, a, b, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible SpMM: validates shapes, configuration legality, operand
-/// finiteness, and device resource limits up front, then launches through
-/// [`Gpu::try_launch`] so injected device faults surface as errors instead
-/// of panics. Returns `(C, stats)` on success.
+/// Fallible SpMM: validates shapes, configuration legality and operand
+/// finiteness up front, then launches through [`Gpu::run`], so a refuted
+/// audit, an invalid launch or an injected device fault surfaces as an
+/// error instead of a panic. Returns `(C, stats)` on success.
 pub fn try_spmm<T: Scalar>(
     gpu: &Gpu,
     a: &CsrMatrix<T>,
@@ -977,17 +977,13 @@ pub fn try_spmm<T: Scalar>(
 ) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
+    let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
     let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let stats = {
+    let launched = {
         let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        gpu.try_launch(&kernel)?
+        gpu.run(&Launch::FUNCTIONAL, &kernel)?
     };
-    Ok((out, stats))
+    Ok((out, launched.stats))
 }
 
 /// Profile SpMM (cost model only): no dense matrices are allocated, so this
@@ -999,14 +995,7 @@ pub fn spmm_profile<T: Scalar>(
     n: usize,
     cfg: SpmmConfig,
 ) -> LaunchStats {
-    assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
-    let kernel = SpmmKernel::<T>::for_profile(a, n, &swizzle, cfg);
-    gpu.profile(&kernel)
+    profile_launch(gpu, None, a, b_rows, n, cfg).0
 }
 
 /// [`spmm_profile`] through a cross-launch [`LaunchCache`]: returns the
@@ -1023,26 +1012,34 @@ pub fn spmm_profile_cached<T: Scalar>(
     n: usize,
     cfg: SpmmConfig,
 ) -> (LaunchStats, bool) {
+    profile_launch(gpu, Some(cache), a, b_rows, n, cfg)
+}
+
+/// The profile request behind [`spmm_profile`] and [`spmm_profile_cached`].
+/// The key needs only the config-derived name, so a cache hit builds
+/// neither the swizzle nor the kernel.
+fn profile_launch<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    a: &CsrMatrix<T>,
+    b_rows: usize,
+    n: usize,
+    cfg: SpmmConfig,
+) -> (LaunchStats, bool) {
     assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    // The key needs only the config-derived name, so a hit skips swizzle
-    // construction entirely. Fault-plan GPUs must not be served from (or
-    // populate) the cache: schedules consume per-launch indices.
-    if gpu.fault_plan().is_some() {
-        return (spmm_profile(gpu, a, b_rows, n, cfg), false);
-    }
-    let key = LaunchKey {
-        kernel: SpmmKernel::<T>::launch_name(&cfg),
-        fingerprint: operand_fingerprint(a, n),
-        device: gpu.device().name.clone(),
-        arch: gpu.device().arch_fingerprint(),
+    let target = Deferred::new(
+        || SpmmKernel::<T>::launch_name(&cfg),
+        |run| {
+            let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
+            run(&SpmmKernel::<T>::for_profile(a, n, &swizzle, cfg));
+        },
+    );
+    let req = Launch {
+        cache: cache.map(|c| (c, operand_fingerprint(a, n))),
+        ..Launch::PROFILE
     };
-    if let Some(stats) = cache.lookup(&key) {
-        gpu.note_cache_hit(&stats);
-        return (stats, true);
-    }
-    let stats = spmm_profile(gpu, a, b_rows, n, cfg);
-    cache.insert(key, stats.clone());
-    (stats, false)
+    let launched = gpu.run(&req, &target).unwrap_or_else(|e| panic!("{e}"));
+    (launched.stats, launched.hit)
 }
 
 /// The launch-cache fingerprint for an SpMM-shaped problem: the sparse

@@ -10,6 +10,7 @@
 
 use crate::config::SpmmConfig;
 use crate::spmm;
+use gpu_sim::trace::{parse_json, Json};
 use gpu_sim::{Gpu, LaunchCache};
 use serde::{Deserialize, Serialize};
 use sparse::{CsrMatrix, IndexWidth, Scalar};
@@ -195,8 +196,9 @@ impl AutoTuner {
 
     /// Persist the memo table as JSON lines: a versioned header object
     /// followed by one flat entry object per problem class, sorted for
-    /// deterministic output. (Hand-rolled writer/reader — the flat format
-    /// needs no general JSON machinery.)
+    /// deterministic output. (Hand-rolled writer — the vendored serde stub
+    /// cannot serialize; [`Self::load_from`] reads it back with
+    /// [`gpu_sim::trace::parse_json`].)
     pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         if let Some(dir) = path.parent() {
@@ -257,10 +259,14 @@ impl AutoTuner {
         let header = lines
             .next()
             .ok_or_else(|| bad("empty autotune cache file".into()))??;
-        let version = json_u64(&header, "version")
+        let doc = parse_json(&header)
+            .map_err(|e| bad(format!("malformed autotune cache header: {e}")))?;
+        let version = doc
+            .get("version")
+            .and_then(Json::as_u64)
             .ok_or_else(|| bad("autotune cache header missing version".into()))?;
         if version != u64::from(Self::CACHE_FORMAT_VERSION)
-            || json_raw(&header, "kind") != Some(&format!("\"{}\"", Self::CACHE_KIND))
+            || doc.get("kind").and_then(Json::as_str) != Some(Self::CACHE_KIND)
         {
             return Err(bad(format!(
                 "autotune cache header {header:?} does not match version {} kind {}",
@@ -282,58 +288,43 @@ impl AutoTuner {
     }
 }
 
-/// The raw text of `"key":<value>` in a flat one-line JSON object.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    json_raw(line, key)?.parse().ok()
-}
-
+/// One entry line written by [`AutoTuner::save_to`]; `None` if malformed.
 fn parse_entry(line: &str) -> Option<(ProblemClass, TuneResult)> {
+    let doc = parse_json(line).ok()?;
+    let field = |key: &str| doc.get(key);
+    let u32_of = |key: &str| field(key)?.as_u64()?.try_into().ok();
+    let bool_of = |key: &str| field(key)?.as_bool();
+    let f64_of = |key: &str| field(key)?.as_num();
     let class = ProblemClass {
-        m_pow2: json_u64(line, "m_pow2")? as u32,
-        k_pow2: json_u64(line, "k_pow2")? as u32,
-        n_pow2: json_u64(line, "n_pow2")? as u32,
-        sparsity_bucket: u8::try_from(json_u64(line, "sparsity_bucket")?).ok()?,
+        m_pow2: u32_of("m_pow2")?,
+        k_pow2: u32_of("k_pow2")?,
+        n_pow2: u32_of("n_pow2")?,
+        sparsity_bucket: u8::try_from(field("sparsity_bucket")?.as_u64()?).ok()?,
     };
-    let index_width = match json_u64(line, "index_bytes")? {
+    let index_width = match field("index_bytes")?.as_u64()? {
         2 => IndexWidth::U16,
         4 => IndexWidth::U32,
         _ => return None,
     };
     let config = SpmmConfig {
-        block_items_y: json_u64(line, "block_items_y")? as u32,
-        block_items_k: json_u64(line, "block_items_k")? as u32,
-        block_items_x: json_u64(line, "block_items_x")? as u32,
-        vector_width: json_u64(line, "vector_width")? as u32,
-        row_swizzle: json_bool(line, "row_swizzle")?,
-        roma: json_bool(line, "roma")?,
-        index_prescale: json_bool(line, "index_prescale")?,
-        residue_unroll: json_bool(line, "residue_unroll")?,
+        block_items_y: u32_of("block_items_y")?,
+        block_items_k: u32_of("block_items_k")?,
+        block_items_x: u32_of("block_items_x")?,
+        vector_width: u32_of("vector_width")?,
+        row_swizzle: bool_of("row_swizzle")?,
+        roma: bool_of("roma")?,
+        index_prescale: bool_of("index_prescale")?,
+        residue_unroll: bool_of("residue_unroll")?,
         index_width,
-        fused_bias_relu: json_bool(line, "fused_bias_relu")?,
-        assume_aligned: json_bool(line, "assume_aligned")?,
+        fused_bias_relu: bool_of("fused_bias_relu")?,
+        assume_aligned: bool_of("assume_aligned")?,
     };
     Some((
         class,
         TuneResult {
             config,
-            best_us: json_f64(line, "best_us")?,
-            heuristic_us: json_f64(line, "heuristic_us")?,
+            best_us: f64_of("best_us")?,
+            heuristic_us: f64_of("heuristic_us")?,
         },
     ))
 }

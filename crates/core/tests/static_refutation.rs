@@ -1,18 +1,23 @@
-//! Seeded-violation tests for the static launch auditor at the dispatch
-//! boundary: one provably-bad kernel per check class, each driven through
-//! [`sputnik::launch_audited`] — the same gate every ladder rung uses.
+//! Seeded-violation tests for the static launch auditor at the launch
+//! funnel: one provably-bad kernel per check class, each driven through
+//! every public launch path — [`Gpu::run`] in functional, profile, cached
+//! functional and cached profile mode, a [`Stream`] (plain and cached) and
+//! [`Fleet::launch`].
 //!
 //! The probe kernel **panics in `execute_block`**, so these tests prove the
 //! strongest property the auditor claims: a `Refuted` launch is rejected
 //! with a typed [`SputnikError::StaticallyRefuted`] *before the simulator
-//! executes a single block*. If the gate ever ran the launch first, the
-//! panic would fail the test before the assertion was reached.
+//! executes a single block*, whichever path it took. If a path ran the
+//! launch first, the probe's panic would fail the test before the
+//! assertion was reached.
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, StageBound, StaticFacts, VectorClass,
+    BufferSpec, Dim3, Fleet, Gpu, Kernel, Launch, LaunchCache, LaunchError, StageBound,
+    StaticFacts, Stream, VectorClass,
 };
 use sputnik::SputnikError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A probe whose block body must never run: each constructor seeds exactly
 /// one class of statically refutable violation.
@@ -81,28 +86,79 @@ impl Kernel for Refutable {
     }
 }
 
-/// Drive the probe through the dispatch gate and demand a refutation of
-/// the expected class.
-fn expect_refuted(probe: &Refutable, expected_class: &str) {
-    let gpu = Gpu::v100();
-    let before = gpu_sim::metrics::global().get("dispatch_static_refuted");
-    match sputnik::launch_audited(&gpu, probe) {
+/// Demand a typed refutation of the expected class.
+fn check_refuted(path: &str, result: Result<gpu_sim::Launched, LaunchError>, expected_class: &str) {
+    match result.map_err(SputnikError::from) {
         Err(SputnikError::StaticallyRefuted {
             kernel,
             class,
             detail,
         }) => {
-            assert_eq!(kernel, "refutable_probe");
-            assert_eq!(class, expected_class, "wrong class: {detail}");
-            assert!(!detail.is_empty());
+            assert_eq!(kernel, "refutable_probe", "{path}");
+            assert_eq!(class, expected_class, "{path}: wrong class: {detail}");
+            assert!(!detail.is_empty(), "{path}");
         }
-        Err(other) => panic!("expected StaticallyRefuted, got: {other}"),
-        Ok(_) => panic!("a seeded {expected_class} violation launched successfully"),
+        Err(other) => panic!("{path}: expected StaticallyRefuted, got: {other}"),
+        Ok(_) => panic!("{path}: a seeded {expected_class} violation launched successfully"),
     }
-    let after = gpu_sim::metrics::global().get("dispatch_static_refuted");
+}
+
+/// Demand that a panicking launch wrapper panicked with the funnel's
+/// refutation, not with the probe's own `execute_block` assertion.
+fn check_refuted_panic(path: &str, launch: impl FnOnce(), expected_class: &str) {
+    let payload = match catch_unwind(AssertUnwindSafe(launch)) {
+        Err(payload) => payload,
+        Ok(()) => panic!("{path}: a seeded {expected_class} violation launched successfully"),
+    };
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    let expected = format!("kernel refutable_probe statically refuted [{expected_class}]");
+    assert!(msg.starts_with(&expected), "{path}: panicked with: {msg}");
+}
+
+/// Drive the probe through every launch path and demand a refutation of
+/// the expected class from each.
+fn expect_refuted(probe: &Refutable, expected_class: &str) {
+    let gpu = Gpu::v100();
+    let cache = LaunchCache::new();
+    let before = gpu_sim::metrics::global().get("static_refuted");
+    let requests = [
+        ("functional", Launch::FUNCTIONAL),
+        ("profile", Launch::PROFILE),
+        ("cached functional", Launch::FUNCTIONAL.cached(&cache, 1)),
+        ("cached profile", Launch::PROFILE.cached(&cache, 2)),
+    ];
+    for (path, req) in &requests {
+        check_refuted(path, gpu.run(req, probe), expected_class);
+    }
+    check_refuted_panic(
+        "stream",
+        || {
+            Stream::new(&gpu).launch(probe);
+        },
+        expected_class,
+    );
+    check_refuted_panic(
+        "cached stream",
+        || {
+            Stream::with_cache(&gpu, &cache).launch_cached(3, probe);
+        },
+        expected_class,
+    );
+    let mut fleet = Fleet::v100(2);
+    check_refuted(
+        "fleet",
+        fleet.launch(1, &Launch::FUNCTIONAL, probe),
+        expected_class,
+    );
+    assert!(cache.is_empty(), "a refuted launch must not be memoized");
+    let after = gpu_sim::metrics::global().get("static_refuted");
     assert!(
-        after > before,
-        "dispatch_static_refuted did not count the rejection"
+        after >= before + requests.len() as u64 + 3,
+        "static_refuted did not count every rejection"
     );
 }
 
@@ -110,7 +166,10 @@ fn expect_refuted(probe: &Refutable, expected_class: &str) {
 fn clean_probe_passes_the_gate_and_launches() {
     let mut probe = Refutable::clean();
     probe.executable = true;
-    let stats = sputnik::launch_audited(&Gpu::v100(), &probe).expect("clean launch");
+    let stats = Gpu::v100()
+        .run(&Launch::FUNCTIONAL, &probe)
+        .expect("clean launch")
+        .stats;
     assert_eq!(stats.blocks, 4);
 }
 

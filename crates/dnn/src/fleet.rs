@@ -116,7 +116,7 @@ pub fn mobilenet_pointwise_problem(
 /// per count. The single-device anchor `T1` is measured through the same
 /// sharded code path (a 1-device fleet runs the plain full-matrix kernel),
 /// and every point's output is compared bitwise against the single-GPU
-/// [`sputnik::spmm`] reference.
+/// [`sputnik::spmm()`] reference.
 pub fn scaling_sweep(
     problem: &FleetProblem,
     strategy: ShardStrategy,

@@ -234,7 +234,8 @@ impl BlockContext {
     }
 
     /// A context that additionally records sanitizer findings (see
-    /// [`crate::sanitizer`]). Used by [`Gpu::sanitize`](crate::Gpu::sanitize).
+    /// [`crate::sanitizer`]). Used by sanitized [`Gpu::run`](crate::Gpu::run)
+    /// requests ([`Check::Sanitize`](crate::Check::Sanitize)).
     pub fn sanitized(functional: bool, san: BlockSan) -> Self {
         Self {
             cost: BlockCost::default(),
@@ -249,14 +250,12 @@ impl BlockContext {
         self.san.take().map(|b| *b)
     }
 
-    /// True when an attached sanitizer still has its boundscheck armed: the
-    /// batched trace paths must then visit every row's address individually.
-    /// When the static auditor proves bounds ([`crate::static_check`]), the
-    /// sanitizer mask disarms the check and the batched paths regain their
-    /// closed-form sector accounting.
+    /// True when a sanitizer is attached: the batched trace paths must then
+    /// visit every row's address individually so its boundscheck sees each
+    /// one.
     #[inline]
     fn san_checks_bounds(&self) -> bool {
-        self.san.as_deref().is_some_and(|s| s.checks_bounds())
+        self.san.is_some()
     }
 
     /// Whether the kernel must produce real numerical outputs.

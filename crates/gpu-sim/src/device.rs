@@ -182,7 +182,7 @@ impl DeviceConfig {
     /// A stable structural hash of every architectural field (everything
     /// *except* the marketing name). Two devices with the same name but
     /// different resources — e.g. a fleet mixing a stock V100 with a
-    /// cut-down one — hash differently, so [`crate::LaunchKey`]s carrying
+    /// cut-down one — hash differently, so [`crate::LaunchCache`] keys carrying
     /// this value can never serve one profile's cached statistics to the
     /// other.
     pub fn arch_fingerprint(&self) -> u64 {

@@ -4,7 +4,7 @@
 //! errors, launch timeouts, and silent data corruption. This module provides
 //! a seedable [`FaultPlan`] that decides, per launch, whether the launch
 //! fails and how. The launcher consults the plan inside
-//! [`Gpu::try_launch`](crate::Gpu::try_launch): *loud* faults
+//! [`Gpu::run`](crate::Gpu::run) (for every unsanitized launch): *loud* faults
 //! ([`FaultKind::EccError`], [`FaultKind::LaunchTimeout`]) abort the launch
 //! with a [`DeviceFault`], while the *silent* [`FaultKind::PoisonOutput`]
 //! lets the launch complete but corrupts the functional output with

@@ -46,7 +46,7 @@ impl Fingerprint {
     /// is folded in first: without it, consecutive `write_slice` calls
     /// concatenate, so two operand sets that split the same word sequence at
     /// different boundaries (a length-extension pair) would collide into one
-    /// fingerprint — and one [`crate::LaunchKey`].
+    /// fingerprint — and one [`crate::LaunchCache`] key.
     pub fn write_slice(&mut self, words: &[u32]) -> &mut Self {
         self.write_usize(words.len());
         for &w in words {

@@ -49,7 +49,7 @@
 
 use crate::device::{DeviceConfig, LinkProfile};
 use crate::kernel::Kernel;
-use crate::launch::{Gpu, LaunchError, LaunchStats};
+use crate::launch::{Gpu, Launch, LaunchError, Launched};
 use crate::{metrics, trace};
 use std::collections::{HashMap, VecDeque};
 
@@ -231,23 +231,24 @@ impl Fleet {
         self.clocks[device]
     }
 
-    /// Asynchronously launch `kernel` on `device`: execute it on the owning
-    /// [`Gpu`] now (outputs + per-launch stats) and enqueue its cost on the
-    /// device's stream. Returns the launch statistics.
+    /// Asynchronously launch `kernel` on `device`: run the request on the
+    /// owning [`Gpu`] now (outputs + per-launch stats, through the usual
+    /// audit and cache funnel) and enqueue its cost on the device's stream.
     pub fn launch(
         &mut self,
         device: usize,
+        req: &Launch<'_>,
         kernel: &dyn Kernel,
-    ) -> Result<LaunchStats, LaunchError> {
-        let stats = self.gpus[device].try_launch(kernel)?;
-        self.submit(device, stats.time_us);
-        Ok(stats)
+    ) -> Result<Launched, LaunchError> {
+        let launched = self.gpus[device].run(req, kernel)?;
+        self.submit(device, launched.stats.time_us);
+        Ok(launched)
     }
 
     /// Enqueue `time_us` of already-simulated launch time on `device`'s
     /// stream (the async half of a launch that was executed through the
     /// [`Gpu`] directly, e.g. by a cached dispatch wrapper). `time_us` must
-    /// include one launch overhead, as [`LaunchStats::time_us`] does.
+    /// include one launch overhead, as [`crate::LaunchStats::time_us`] does.
     pub fn submit(&mut self, device: usize, time_us: f64) {
         self.queues[device].push_back(StreamOp::Launch { time_us });
     }

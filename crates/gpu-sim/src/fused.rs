@@ -70,7 +70,7 @@ pub struct SddmmSoftmaxSpmmKernel<'a, T: Scalar> {
     /// Context-tile width (mirrors `SpmmConfig::block_items_x`).
     spmm_tile: usize,
     /// Plan-shape tag baked into the launch name (and therefore the
-    /// [`crate::LaunchKey`]): fusing a different op chain or different
+    /// [`crate::LaunchCache`] key): fusing a different op chain or different
     /// stage tiles must never alias a cached launch.
     plan_tag: String,
     max_row_len: usize,

@@ -9,9 +9,9 @@ use crate::kernel::Kernel;
 use crate::launch_cache::{LaunchCache, LaunchKey};
 use crate::metrics;
 use crate::occupancy::{self, Occupancy};
-use crate::sanitizer::{self, BlockSan, ChecksMask, SanitizerReport, Verdict};
+use crate::sanitizer::{self, BlockSan, CheckClass, SanitizerReport, Verdict};
 use crate::scheduler;
-use crate::static_check::{self, StaticAudit};
+use crate::static_check::{self, Details, StaticAudit};
 use crate::timing;
 use crate::trace;
 use rayon::prelude::*;
@@ -34,6 +34,14 @@ pub enum LaunchError {
     OccupancyZero { kernel: String },
     /// An injected device fault aborted the launch.
     DeviceFault(DeviceFault),
+    /// The static auditor ([`crate::static_check`]) refuted a safety
+    /// property of the launch descriptor: the launch was rejected before a
+    /// single block ran.
+    StaticallyRefuted {
+        kernel: String,
+        class: CheckClass,
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -54,6 +62,15 @@ impl std::fmt::Display for LaunchError {
                 )
             }
             LaunchError::DeviceFault(fault) => write!(f, "device fault: {fault}"),
+            LaunchError::StaticallyRefuted {
+                kernel,
+                class,
+                detail,
+            } => write!(
+                f,
+                "kernel {kernel} statically refuted [{}]: {detail}",
+                class.name()
+            ),
         }
     }
 }
@@ -64,6 +81,135 @@ impl From<DeviceFault> for LaunchError {
     fn from(fault: DeviceFault) -> Self {
         LaunchError::DeviceFault(fault)
     }
+}
+
+/// How a launch executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Blocks compute real outputs *and* the launch is timed.
+    Functional,
+    /// Cost traces only, no functional output.
+    Profile,
+}
+
+/// What [`Gpu::run`] checks on a cache miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Check {
+    /// Static audit: a `Refuted` verdict rejects the launch before any block
+    /// runs.
+    #[default]
+    Audit,
+    /// Static audit plus every dynamic sanitizer check (see
+    /// [`crate::sanitizer`]). Refutations become report violations instead
+    /// of rejecting the launch.
+    Sanitize,
+}
+
+/// One launch request for [`Gpu::run`].
+#[derive(Debug, Clone, Copy)]
+pub struct Launch<'c> {
+    pub mode: Mode,
+    /// Memoize through this cache. The fingerprint must cover the operand
+    /// structure plus any problem dimension the kernel name does not encode
+    /// (see [`crate::launch_cache`]).
+    pub cache: Option<(&'c LaunchCache, u64)>,
+    pub check: Check,
+}
+
+impl<'c> Launch<'c> {
+    /// An uncached, audited functional launch.
+    pub const FUNCTIONAL: Launch<'static> = Launch {
+        mode: Mode::Functional,
+        cache: None,
+        check: Check::Audit,
+    };
+    /// An uncached, audited profile launch.
+    pub const PROFILE: Launch<'static> = Launch {
+        mode: Mode::Profile,
+        cache: None,
+        check: Check::Audit,
+    };
+    /// An uncached, sanitized functional launch.
+    pub const SANITIZE: Launch<'static> = Launch {
+        mode: Mode::Functional,
+        cache: None,
+        check: Check::Sanitize,
+    };
+
+    /// This request, memoized through `cache` under `fingerprint`.
+    pub fn cached(self, cache: &'c LaunchCache, fingerprint: u64) -> Self {
+        Launch {
+            cache: Some((cache, fingerprint)),
+            ..self
+        }
+    }
+}
+
+/// The outcome of a [`Gpu::run`] request.
+#[derive(Debug, Clone)]
+pub struct Launched {
+    pub stats: LaunchStats,
+    /// The sanitizer report of a [`Check::Sanitize`] request.
+    pub report: Option<SanitizerReport>,
+    /// Whether the launch was served from the request's cache.
+    pub hit: bool,
+}
+
+/// What a [`Launch`] request runs: any [`Kernel`], or a [`Deferred`] recipe
+/// that builds its kernel only when the launch needs one.
+pub trait Launchable {
+    /// The launch identity: the kernel component of the cache key.
+    fn launch_name(&self) -> String;
+    /// Build the kernel and hand it to `run`.
+    fn with_kernel(&self, run: &mut dyn FnMut(&dyn Kernel));
+}
+
+impl<K: Kernel> Launchable for K {
+    fn launch_name(&self) -> String {
+        self.name()
+    }
+    fn with_kernel(&self, run: &mut dyn FnMut(&dyn Kernel)) {
+        run(self);
+    }
+}
+
+impl Launchable for dyn Kernel + '_ {
+    fn launch_name(&self) -> String {
+        self.name()
+    }
+    fn with_kernel(&self, run: &mut dyn FnMut(&dyn Kernel)) {
+        run(self);
+    }
+}
+
+/// A kernel built on demand. A profile-mode cache hit is answered from the
+/// name alone, so the kernel (and whatever it borrows, such as a row
+/// swizzle) is never built. `name` must return the built kernel's
+/// [`Kernel::name`]; it runs only when the request has a cache.
+pub struct Deferred<N, F> {
+    name: N,
+    build: F,
+}
+
+impl<N: Fn() -> String, F: Fn(&mut dyn FnMut(&dyn Kernel))> Deferred<N, F> {
+    /// `build` constructs the kernel and passes it to its argument.
+    pub fn new(name: N, build: F) -> Self {
+        Self { name, build }
+    }
+}
+
+impl<N: Fn() -> String, F: Fn(&mut dyn FnMut(&dyn Kernel))> Launchable for Deferred<N, F> {
+    fn launch_name(&self) -> String {
+        (self.name)()
+    }
+    fn with_kernel(&self, run: &mut dyn FnMut(&dyn Kernel)) {
+        (self.build)(run);
+    }
+}
+
+/// The value a [`Launchable::with_kernel`] callback produced.
+fn built<T>(result: Option<T>) -> T {
+    result.unwrap_or_else(|| panic!("a launch target never built its kernel"))
 }
 
 /// Device-wide roofline times (cycles) per pipeline — the denominator view
@@ -223,96 +369,99 @@ impl Gpu {
     }
 
     /// Launch a kernel functionally: blocks compute real outputs *and* the
-    /// launch is timed. Panics on invalid launches or injected faults; use
-    /// [`Gpu::try_launch`] for a recoverable error instead.
+    /// launch is timed. Panics on invalid, refuted or faulted launches; a
+    /// [`Launch::FUNCTIONAL`] request through [`Gpu::run`] returns the error
+    /// instead.
     pub fn launch(&self, kernel: &dyn Kernel) -> LaunchStats {
-        self.try_launch(kernel).unwrap_or_else(|e| panic!("{e}"))
+        self.run(&Launch::FUNCTIONAL, kernel)
+            .map_or_else(|e| panic!("{e}"), |l| l.stats)
     }
 
     /// Profile a kernel: cost traces only, no functional output. Used by the
-    /// large benchmark sweeps where only timing is needed.
+    /// large benchmark sweeps where only timing is needed. Panics like
+    /// [`Gpu::launch`].
     pub fn profile(&self, kernel: &dyn Kernel) -> LaunchStats {
-        self.try_profile(kernel).unwrap_or_else(|e| panic!("{e}"))
+        self.run(&Launch::PROFILE, kernel)
+            .map_or_else(|e| panic!("{e}"), |l| l.stats)
     }
 
-    /// Fallible functional launch: validates resources, consults the fault
-    /// plan, executes, and reports faults as errors instead of panicking.
-    pub fn try_launch(&self, kernel: &dyn Kernel) -> Result<LaunchStats, LaunchError> {
-        self.try_run(kernel, true)
-    }
-
-    /// Fallible profile launch (cost only).
-    pub fn try_profile(&self, kernel: &dyn Kernel) -> Result<LaunchStats, LaunchError> {
-        self.try_run(kernel, false)
-    }
-
-    /// The [`LaunchCache`] key this launch would use. See
-    /// [`crate::launch_cache`] for what `fingerprint` must cover (operand
-    /// structure plus any problem dimension the kernel name does not encode).
-    pub fn cache_key(&self, kernel: &dyn Kernel, fingerprint: u64) -> LaunchKey {
-        LaunchKey {
-            kernel: kernel.name(),
-            fingerprint,
-            device: self.dev.name.clone(),
-            arch: self.dev.arch_fingerprint(),
-        }
-    }
-
-    /// Memoized profile launch: consult `cache` before simulating. Returns
-    /// the stats plus whether they were served from the cache. A GPU
-    /// carrying a fault plan bypasses the cache entirely (fault schedules
-    /// consume per-launch indices).
-    pub fn try_profile_cached(
+    /// The launch funnel: every simulated launch, cached or not, sanitized
+    /// or not, runs through here.
+    ///
+    /// 1. **Cache.** With a [`Launch::cache`] and no fault plan, the key is
+    ///    the target's [`Launchable::launch_name`], the fingerprint and this
+    ///    device. A hit needs no audit or sanitizer run, because the key fixes
+    ///    both results. A profile hit never builds the kernel. A functional
+    ///    hit validates it and replays its outputs. A GPU carrying a fault
+    ///    plan bypasses the cache entirely, because fault schedules consume
+    ///    per-launch indices.
+    /// 2. **Audit.** On a miss, the static auditor ([`Gpu::audit`]) runs
+    ///    first. Under [`Check::Audit`] a `Refuted` verdict rejects the
+    ///    launch with [`LaunchError::StaticallyRefuted`] before any block
+    ///    runs. Under [`Check::Sanitize`] it becomes a violation in the
+    ///    report instead.
+    /// 3. **Run.** Resource validation comes next, then the fault decision,
+    ///    the simulation and any poison fault. A sanitized run checks the
+    ///    kernel, not the device, so it never consults the fault plan.
+    /// 4. **Insert.** The fresh result (and its report) is stored under the
+    ///    key.
+    pub fn run<L: Launchable + ?Sized>(
         &self,
-        cache: &LaunchCache,
-        fingerprint: u64,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, bool), LaunchError> {
-        if self.fault.is_some() {
-            return self.try_profile(kernel).map(|s| (s, false));
+        req: &Launch<'_>,
+        target: &L,
+    ) -> Result<Launched, LaunchError> {
+        let cached = match req.cache {
+            Some((cache, fingerprint)) if self.fault.is_none() => Some((
+                cache,
+                LaunchKey {
+                    kernel: target.launch_name(),
+                    fingerprint,
+                    device: self.dev.name.clone(),
+                    arch: self.dev.arch_fingerprint(),
+                },
+            )),
+            _ => None,
+        };
+        if let Some((cache, key)) = &cached {
+            let hit = match req.check {
+                Check::Audit => cache.lookup(key).map(|stats| (stats, None)),
+                Check::Sanitize => cache
+                    .lookup_sanitized(key)
+                    .map(|(stats, report)| (stats, Some(report))),
+            };
+            if let Some((stats, report)) = hit {
+                if req.mode == Mode::Functional {
+                    let mut replayed = None;
+                    target.with_kernel(&mut |kernel| {
+                        replayed = Some(
+                            self.validate(kernel)
+                                .map(|_| self.replay_functional(kernel)),
+                        );
+                    });
+                    built(replayed)?;
+                }
+                metrics::global().record_launch(&stats, true);
+                trace::launch(&self.dev.name, &stats, Some(true));
+                if report.is_some() {
+                    metrics::global().incr("sanitizer_skips", 1);
+                }
+                return Ok(Launched {
+                    stats,
+                    report,
+                    hit: true,
+                });
+            }
         }
-        let key = self.cache_key(kernel, fingerprint);
-        if let Some(stats) = cache.lookup(&key) {
-            self.note_cache_hit(&stats);
-            return Ok((stats, true));
+        let mut result = None;
+        target.with_kernel(&mut |kernel| result = Some(self.simulate(req, kernel)));
+        let launched = built(result)?;
+        if let Some((cache, key)) = cached {
+            match &launched.report {
+                Some(report) => cache.insert_sanitized(key, launched.stats.clone(), report.clone()),
+                None => cache.insert(key, launched.stats.clone()),
+            }
         }
-        let stats = self.try_profile(kernel)?;
-        cache.insert(key, stats.clone());
-        Ok((stats, false))
-    }
-
-    /// Memoized functional launch: on a hit the kernel still executes every
-    /// block (outputs must be produced) but with cost recording disabled —
-    /// the statistics come from the cache. Fault-plan GPUs bypass the cache.
-    pub fn try_launch_cached(
-        &self,
-        cache: &LaunchCache,
-        fingerprint: u64,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, bool), LaunchError> {
-        if self.fault.is_some() {
-            return self.try_launch(kernel).map(|s| (s, false));
-        }
-        let key = self.cache_key(kernel, fingerprint);
-        if let Some(stats) = cache.lookup(&key) {
-            self.validate(kernel)?;
-            self.replay_functional(kernel);
-            self.note_cache_hit(&stats);
-            return Ok((stats, true));
-        }
-        let stats = self.try_launch(kernel)?;
-        cache.insert(key, stats.clone());
-        Ok((stats, false))
-    }
-
-    /// Record a launch served from a [`LaunchCache`] into the trace and
-    /// metrics (the simulated paths record themselves; cache hits replay
-    /// stats without simulating, so whoever serves the hit must report it).
-    /// Called by [`Gpu::try_profile_cached`] / [`Gpu::try_launch_cached`]
-    /// and by higher-level cached entry points that do their own lookup.
-    pub fn note_cache_hit(&self, stats: &LaunchStats) {
-        metrics::global().record_launch(stats, true);
-        trace::launch(&self.dev.name, stats, Some(true));
+        Ok(launched)
     }
 
     /// Execute every block functionally with cost recording disabled (the
@@ -336,83 +485,87 @@ impl Gpu {
         static_check::audit(&self.dev, kernel)
     }
 
-    /// Run a kernel under the sanitizer (see [`crate::sanitizer`]): a
-    /// functional launch whose blocks additionally record racecheck /
-    /// memcheck / aligncheck / lint findings, the simulator's analogue of
-    /// `compute-sanitizer`. The fault plan is not consulted — the sanitizer
-    /// checks the kernel, not the device. Sanitized launches serialize
-    /// process-wide (a global shadow map backs the cross-block racecheck).
-    ///
-    /// The launch is first statically audited: dynamic checks whose class
-    /// the auditor `Proven` are disarmed (the cross-block racecheck always
-    /// stays on — it has no static counterpart), and `Refuted` findings are
-    /// folded into the report as hard violations while their dynamic checks
-    /// stay armed for defense in depth. Use [`Gpu::sanitize_full`] to force
-    /// every dynamic check regardless of the audit.
-    pub fn sanitize(
-        &self,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
-        let audit = self.audit(kernel);
-        let mask = audit.dynamic_mask();
-        metrics::global().incr_many(&[
-            ("static_audits", 1),
-            ("static_checks_proven", audit.proven()),
-            ("sanitizer_checks_skipped", mask.skipped()),
-        ]);
-        let (stats, mut report) = self.sanitize_with_mask(kernel, mask)?;
-        for f in &audit.findings {
-            if f.verdict == Verdict::Refuted {
+    /// A cache miss: audit, then simulate (or sanitize) the launch.
+    fn simulate(&self, req: &Launch<'_>, kernel: &dyn Kernel) -> Result<Launched, LaunchError> {
+        let functional = req.mode == Mode::Functional;
+        let findings = static_check::findings(&self.dev, kernel, Details::Refuted);
+        let proven = findings
+            .iter()
+            .filter(|f| f.verdict == Verdict::Proven)
+            .count() as u64;
+        metrics::global().incr_many(&[("static_audits", 1), ("static_checks_proven", proven)]);
+        let mut refuted = findings
+            .into_iter()
+            .filter(|f| f.verdict == Verdict::Refuted);
+        if req.check == Check::Sanitize {
+            let (stats, mut report) = self.sanitize(kernel, functional)?;
+            for f in refuted {
                 report.push_static_refutation(f.class, &f.detail);
                 metrics::global().incr("sanitizer_violations", 1);
             }
+            return Ok(Launched {
+                stats,
+                report: Some(report),
+                hit: false,
+            });
         }
-        Ok((stats, report))
+        if let Some(finding) = refuted.next() {
+            let kernel = kernel.name();
+            metrics::global().incr("static_refuted", 1);
+            if trace::enabled() {
+                trace::instant(
+                    "audit",
+                    &self.dev.name,
+                    &format!("statically refuted: {kernel} ({})", finding.detail),
+                );
+            }
+            return Err(LaunchError::StaticallyRefuted {
+                kernel,
+                class: finding.class,
+                detail: finding.detail,
+            });
+        }
+        let occ = self.validate(kernel)?;
+
+        // The fault decision comes *after* resource validation: an invalid
+        // launch never reaches the device, so it must not consume an index
+        // in the fault schedule.
+        let poison = match self.fault.as_ref() {
+            Some(plan) => match plan.decide(&kernel.name()) {
+                Some(fault) if fault.kind == FaultKind::PoisonOutput => {
+                    Some(plan.poison_seed(&fault))
+                }
+                Some(fault) => return Err(LaunchError::DeviceFault(fault)),
+                None => None,
+            },
+            None => None,
+        };
+
+        let stats = self.execute(kernel, functional, occ);
+
+        // A poison fault corrupts the output *after* a successful-looking
+        // launch: callers only notice by inspecting the results.
+        if functional {
+            if let Some(seed) = poison {
+                kernel.poison_output(seed);
+            }
+        }
+        Ok(Launched {
+            stats,
+            report: None,
+            hit: false,
+        })
     }
 
-    /// [`Gpu::sanitize`] with every dynamic check armed, ignoring the static
-    /// audit. This is the pre-audit behavior, kept as the reference the
-    /// audited path is validated against (`sanitize_all` runs both and
-    /// fails on any disagreement).
-    pub fn sanitize_full(
+    /// A sanitized run (see [`crate::sanitizer`]): every block additionally
+    /// records racecheck / memcheck / aligncheck / lint findings, the
+    /// simulator's analogue of `compute-sanitizer`. Sanitized launches
+    /// serialize process-wide (a global shadow map backs the cross-block
+    /// racecheck).
+    fn sanitize(
         &self,
         kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
-        self.sanitize_with_mask(kernel, ChecksMask::ALL)
-    }
-
-    /// Memoized sanitized launch: a [`LaunchCache`] hit whose entry carries
-    /// a sanitizer report skips re-sanitizing entirely — the sanitizer
-    /// checks the cost trace, which (kernel name, fingerprint, device) fully
-    /// determines — replaying functional outputs only. Returns the stats,
-    /// the report, and whether they were served from the cache. Fault-plan
-    /// GPUs bypass the cache like every other cached path.
-    pub fn sanitize_cached(
-        &self,
-        cache: &LaunchCache,
-        fingerprint: u64,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, SanitizerReport, bool), LaunchError> {
-        if self.fault.is_some() {
-            return self.sanitize(kernel).map(|(s, r)| (s, r, false));
-        }
-        let key = self.cache_key(kernel, fingerprint);
-        if let Some((stats, report)) = cache.lookup_sanitized(&key) {
-            self.validate(kernel)?;
-            self.replay_functional(kernel);
-            self.note_cache_hit(&stats);
-            metrics::global().incr("sanitizer_skips", 1);
-            return Ok((stats, report, true));
-        }
-        let (stats, report) = self.sanitize(kernel)?;
-        cache.insert_sanitized(key, stats.clone(), report.clone());
-        Ok((stats, report, false))
-    }
-
-    fn sanitize_with_mask(
-        &self,
-        kernel: &dyn Kernel,
-        mask: ChecksMask,
+        functional: bool,
     ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
         let occ = self.validate(kernel)?;
         let req = kernel.block_requirements();
@@ -421,9 +574,9 @@ impl Gpu {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
-        // Sanitized launches always take the slow path (no dedup, no launch
-        // cache): the global shadow-map racecheck must observe every block's
-        // real accesses. The trace reduction itself still streams — only the
+        // Sanitized launches always take the slow path (no dedup): the
+        // global shadow-map racecheck must observe every block's real
+        // accesses. The trace reduction itself still streams — only the
         // per-block sanitizer findings are kept whole for the report.
         let session = sanitizer::begin_session(!kernel.atomic_output());
         let (total, lites, sans) = (0..n_blocks)
@@ -432,8 +585,8 @@ impl Gpu {
                 (BlockCost::default(), Vec::new(), Vec::new()),
                 |(mut total, mut lites, mut sans), lin| {
                     let idx = grid.delinearize(lin);
-                    let san = BlockSan::with_mask(&buffers, req.smem_bytes, multi_warp, mask);
-                    let mut ctx = BlockContext::sanitized(true, san);
+                    let san = BlockSan::for_kernel(&buffers, req.smem_bytes, multi_warp);
+                    let mut ctx = BlockContext::sanitized(functional, san);
                     sanitizer::enter_block(lin);
                     kernel.execute_block(idx, &mut ctx);
                     sanitizer::exit_block();
@@ -499,36 +652,7 @@ impl Gpu {
         Ok(occ)
     }
 
-    fn try_run(&self, kernel: &dyn Kernel, functional: bool) -> Result<LaunchStats, LaunchError> {
-        let occ = self.validate(kernel)?;
-
-        // The fault decision comes *after* resource validation: an invalid
-        // launch never reaches the device, so it must not consume an index
-        // in the fault schedule.
-        let poison = match self.fault.as_ref() {
-            Some(plan) => match plan.decide(&kernel.name()) {
-                Some(fault) if fault.kind == FaultKind::PoisonOutput => {
-                    Some(plan.poison_seed(&fault))
-                }
-                Some(fault) => return Err(LaunchError::DeviceFault(fault)),
-                None => None,
-            },
-            None => None,
-        };
-
-        let stats = self.run(kernel, functional, occ);
-
-        // A poison fault corrupts the output *after* a successful-looking
-        // launch: callers only notice by inspecting the results.
-        if functional {
-            if let Some(seed) = poison {
-                kernel.poison_output(seed);
-            }
-        }
-        Ok(stats)
-    }
-
-    fn run(&self, kernel: &dyn Kernel, functional: bool, occ: Occupancy) -> LaunchStats {
+    fn execute(&self, kernel: &dyn Kernel, functional: bool, occ: Occupancy) -> LaunchStats {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
@@ -951,38 +1075,34 @@ impl<'g> Stream<'g> {
 
     /// Launch functionally on the stream; returns this kernel's stats.
     pub fn launch(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        let stats = self.gpu.launch(kernel);
-        self.launches.push(stats.clone());
-        stats
+        self.push(Launch::FUNCTIONAL, kernel)
     }
 
     /// Launch functionally on the stream through the attached cache (see
-    /// [`Gpu::try_launch_cached`] for what `fingerprint` must cover). On a
-    /// hit the kernel still executes for its outputs but the statistics are
+    /// [`Launch::cache`] for what `fingerprint` must cover). On a hit the
+    /// kernel still executes for its outputs but the statistics are
     /// replayed instead of re-simulated. Falls back to an uncached launch
-    /// when no cache is attached. Panics on launch errors, like
-    /// [`Stream::launch`].
+    /// when no cache is attached.
     pub fn launch_cached(&mut self, fingerprint: u64, kernel: &dyn Kernel) -> LaunchStats {
-        let stats = match self.cache {
-            Some(cache) => {
-                let (stats, hit) = self
-                    .gpu
-                    .try_launch_cached(cache, fingerprint, kernel)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                self.cache_hits += u64::from(hit);
-                stats
-            }
-            None => self.gpu.launch(kernel),
+        let req = Launch {
+            cache: self.cache.map(|cache| (cache, fingerprint)),
+            ..Launch::FUNCTIONAL
         };
-        self.launches.push(stats.clone());
-        stats
+        self.push(req, kernel)
     }
 
     /// Profile on the stream (cost only).
     pub fn profile(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        let stats = self.gpu.profile(kernel);
-        self.launches.push(stats.clone());
-        stats
+        self.push(Launch::PROFILE, kernel)
+    }
+
+    /// Run `req` through [`Gpu::run`] and append it to the stream. Panics on
+    /// launch errors, like [`Gpu::launch`].
+    fn push(&mut self, req: Launch<'_>, kernel: &dyn Kernel) -> LaunchStats {
+        let launched = self.gpu.run(&req, kernel).unwrap_or_else(|e| panic!("{e}"));
+        self.cache_hits += u64::from(launched.hit);
+        self.launches.push(launched.stats.clone());
+        launched.stats
     }
 
     pub fn launches(&self) -> &[LaunchStats] {
@@ -1052,8 +1172,8 @@ impl LaunchSummary {
         self.dram_bytes += stats.dram_bytes;
     }
 
-    /// Accumulate a memoized launch (see [`Gpu::try_profile_cached`] /
-    /// [`Gpu::try_launch_cached`]), recording whether the cache served it.
+    /// Accumulate a memoized launch (see [`Launch::cache`]), recording
+    /// whether the cache served it.
     pub fn add_cached(&mut self, stats: &LaunchStats, hit: bool) {
         self.add(stats);
         if hit {
@@ -1344,5 +1464,35 @@ mod tests {
         stream.launch_cached(42, &k);
         assert_eq!(stream.cache_hits(), 0, "fault-plan GPUs simulate in full");
         assert!(cache.is_empty(), "no inserts while a fault plan is armed");
+    }
+
+    #[test]
+    fn deferred_profile_hits_never_build_the_kernel() {
+        let gpu = Gpu::v100();
+        let cache = LaunchCache::new();
+        let builds = AtomicU64::new(0);
+        let target = Deferred::new(
+            || "noop".to_string(),
+            |run| {
+                builds.fetch_add(1, Ordering::Relaxed);
+                run(&Noop {
+                    blocks: 8,
+                    cycles_of_fma: 100,
+                });
+            },
+        );
+        let req = Launch::PROFILE.cached(&cache, 7);
+        let cold = gpu.run(&req, &target).expect("cold launch");
+        let warm = gpu.run(&req, &target).expect("warm launch");
+        assert!(!cold.hit && warm.hit);
+        assert_eq!(cold.stats, warm.stats);
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "a profile hit built it");
+
+        // A functional hit must build the kernel to replay its outputs.
+        let functional = gpu
+            .run(&Launch::FUNCTIONAL.cached(&cache, 7), &target)
+            .expect("functional launch");
+        assert!(functional.hit);
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
     }
 }

@@ -5,6 +5,8 @@
 //! [`LaunchCache`] memoizes [`LaunchStats`] across launches, keyed by the
 //! kernel name (which encodes the configuration tag), a caller-supplied
 //! operand fingerprint, and the device name.
+//! Only the launch funnel reads or writes it: a [`Gpu::run`](crate::Gpu::run)
+//! request that names the cache in [`Launch::cache`](crate::Launch::cache).
 //!
 //! ## What the key must cover
 //!
@@ -66,11 +68,11 @@ pub const DEFAULT_CAPACITY: usize = 8192;
 /// resources, not the label. With `arch` in the key, replay can never
 /// cross-pollinate between device profiles.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LaunchKey {
-    pub kernel: String,
-    pub fingerprint: u64,
-    pub device: String,
-    pub arch: u64,
+pub(crate) struct LaunchKey {
+    pub(crate) kernel: String,
+    pub(crate) fingerprint: u64,
+    pub(crate) device: String,
+    pub(crate) arch: u64,
 }
 
 #[derive(Debug)]
@@ -139,7 +141,7 @@ impl LaunchCache {
 
     /// Look up a key, counting the hit or miss and refreshing the entry's
     /// recency on a hit.
-    pub fn lookup(&self, key: &LaunchKey) -> Option<LaunchStats> {
+    pub(crate) fn lookup(&self, key: &LaunchKey) -> Option<LaunchStats> {
         let tick = self.next_tick();
         let found = {
             let mut map = self.entries();
@@ -172,14 +174,19 @@ impl LaunchCache {
     /// least-recently-used half of the table first when it is full. A prior
     /// sanitizer report stored under the same key survives the overwrite
     /// (the key determines the trace, so the report stays valid).
-    pub fn insert(&self, key: LaunchKey, stats: LaunchStats) {
+    pub(crate) fn insert(&self, key: LaunchKey, stats: LaunchStats) {
         self.insert_entry(key, stats, None);
     }
 
     /// Record a sanitized launch: the statistics plus the sanitizer report,
     /// so fingerprint-identical launches can skip re-sanitizing entirely
     /// (served by [`LaunchCache::lookup_sanitized`]).
-    pub fn insert_sanitized(&self, key: LaunchKey, stats: LaunchStats, report: SanitizerReport) {
+    pub(crate) fn insert_sanitized(
+        &self,
+        key: LaunchKey,
+        stats: LaunchStats,
+        report: SanitizerReport,
+    ) {
         self.insert_entry(key, stats, Some(report));
     }
 
@@ -222,7 +229,10 @@ impl LaunchCache {
     /// returns the cached statistics *and* the sanitizer report. An entry
     /// that was only ever plain-inserted is a miss — its launch was never
     /// sanitized, so there is no report to replay.
-    pub fn lookup_sanitized(&self, key: &LaunchKey) -> Option<(LaunchStats, SanitizerReport)> {
+    pub(crate) fn lookup_sanitized(
+        &self,
+        key: &LaunchKey,
+    ) -> Option<(LaunchStats, SanitizerReport)> {
         let tick = self.next_tick();
         let found = {
             let mut map = self.entries();

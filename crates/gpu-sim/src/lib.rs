@@ -90,14 +90,16 @@ pub use fingerprint::Fingerprint;
 pub use fleet::{EventId, Fleet, FleetError, FleetSync};
 pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::Kernel;
-pub use launch::{Gpu, LaunchError, LaunchStats, LaunchSummary, PipelineBreakdown, Stream};
-pub use launch_cache::{LaunchCache, LaunchKey};
+pub use launch::{
+    Check, Deferred, Gpu, Launch, LaunchError, LaunchStats, LaunchSummary, Launchable, Launched,
+    Mode, PipelineBreakdown, Stream,
+};
+pub use launch_cache::LaunchCache;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use microbench::{validate, Validation};
 pub use occupancy::{occupancy, BlockRequirements, Occupancy, OccupancyLimit};
 pub use sanitizer::{
-    CheckClass, ChecksMask, SanitizerReport, SanitizerViolation, SanitizerWarning, SmemScope,
-    Verdict,
+    CheckClass, SanitizerReport, SanitizerViolation, SanitizerWarning, SmemScope, Verdict,
 };
 pub use scheduler::{simulate_schedule, volta_first_wave_sm, ScheduleResult};
 pub use static_check::{

@@ -5,7 +5,8 @@
 //! disjoint-tiling promise, and the cost recorder ([`BlockContext`]) trusts
 //! that traced addresses are in-bounds and that vector accesses respect the
 //! alignment legality that ROMA (§III-B of Gale et al., SC 2020) exists to
-//! guarantee. A launch run through [`Gpu::sanitize`] turns violations of
+//! guarantee. A sanitized launch (a [`Gpu::run`] request with
+//! [`Check::Sanitize`]) turns violations of
 //! those contracts into typed, testable diagnostics instead of silent UB or
 //! silent mismodeling:
 //!
@@ -26,8 +27,9 @@
 //!
 //! [`SyncUnsafeSlice`]: crate::util::SyncUnsafeSlice
 //! [`BlockContext`]: crate::cost::BlockContext
-//! [`Gpu::sanitize`]: crate::launch::Gpu::sanitize
 //! [`BufferSpec::footprint_bytes`]: crate::cache::BufferSpec
+//! [`Gpu::run`]: crate::launch::Gpu::run
+//! [`Check::Sanitize`]: crate::launch::Check::Sanitize
 
 use crate::cache::BufferSpec;
 use crate::cost::MAX_BUFFERS;
@@ -98,41 +100,6 @@ impl CheckClass {
             CheckClass::GridOccupancy => "grid_occupancy",
             CheckClass::BarrierStructure => "barrier_structure",
         }
-    }
-}
-
-/// Which dynamic check classes a sanitized launch still has to run. A class
-/// the static auditor proved is switched off; everything else stays on.
-/// Racecheck (the cross-block shadow map) has no static counterpart and is
-/// always live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChecksMask {
-    pub bounds: bool,
-    pub alignment: bool,
-    pub shared_capacity: bool,
-    pub barrier: bool,
-}
-
-impl ChecksMask {
-    /// Every dynamic check armed (the pre-audit behavior).
-    pub const ALL: ChecksMask = ChecksMask {
-        bounds: true,
-        alignment: true,
-        shared_capacity: true,
-        barrier: true,
-    };
-
-    /// How many of the four per-block check classes are switched off.
-    pub fn skipped(&self) -> u64 {
-        [
-            self.bounds,
-            self.alignment,
-            self.shared_capacity,
-            self.barrier,
-        ]
-        .iter()
-        .filter(|&&on| !on)
-        .count() as u64
     }
 }
 
@@ -387,9 +354,6 @@ pub struct BlockSan {
     /// Whether the block runs more than one warp (barrier/capacity hazards
     /// only exist across warps; single-warp blocks are warp-synchronous).
     multi_warp: bool,
-    /// Which check classes are still armed; classes the static auditor
-    /// proved are off (see [`ChecksMask`]).
-    mask: ChecksMask,
     /// Barrier epoch counter (incremented by `bar_sync`).
     epoch: u64,
     /// A block-scope smem store happened in the current epoch.
@@ -407,16 +371,6 @@ pub struct BlockSan {
 
 impl BlockSan {
     pub fn for_kernel(buffers: &[BufferSpec], smem_bytes: u32, multi_warp: bool) -> Self {
-        Self::with_mask(buffers, smem_bytes, multi_warp, ChecksMask::ALL)
-    }
-
-    /// A per-block sanitizer with statically proven check classes disarmed.
-    pub fn with_mask(
-        buffers: &[BufferSpec],
-        smem_bytes: u32,
-        multi_warp: bool,
-        mask: ChecksMask,
-    ) -> Self {
         let mut footprints: [Option<(&'static str, u64)>; MAX_BUFFERS] = [None; MAX_BUFFERS];
         for b in buffers {
             let slot = b.id.0 as usize;
@@ -428,7 +382,6 @@ impl BlockSan {
             footprints,
             smem_bytes,
             multi_warp,
-            mask,
             epoch: 0,
             store_in_epoch: false,
             epoch_store_bytes: 0,
@@ -455,18 +408,10 @@ impl BlockSan {
         }
     }
 
-    /// Whether the bounds (memcheck) class is still armed. The batched trace
-    /// recorders consult this to restore their sanitizer-free fast path when
-    /// the static auditor proved bounds.
-    #[inline]
-    pub(crate) fn checks_bounds(&self) -> bool {
-        self.mask.bounds
-    }
-
     /// Memcheck: a traced global access of `bytes` at `byte_addr` against
     /// the declared footprint of buffer `slot`.
     pub(crate) fn check_global(&mut self, slot: usize, byte_addr: u64, bytes: u64) {
-        if bytes == 0 || !self.mask.bounds {
+        if bytes == 0 {
             return;
         }
         match self.footprints.get(slot).copied().flatten() {
@@ -492,7 +437,7 @@ impl BlockSan {
         vec_width: u32,
         elem_bytes: u32,
     ) {
-        if vec_width <= 1 || !self.mask.alignment {
+        if vec_width <= 1 {
             return;
         }
         let align = vec_width as u64 * elem_bytes as u64;
@@ -517,12 +462,7 @@ impl BlockSan {
         if scope != SmemScope::Block || !self.multi_warp {
             return;
         }
-        if self.mask.barrier {
-            self.store_in_epoch = true;
-        }
-        if !self.mask.shared_capacity {
-            return;
-        }
+        self.store_in_epoch = true;
         self.epoch_store_bytes += bytes;
         if !self.overflow_reported
             && self.smem_bytes > 0
@@ -542,7 +482,6 @@ impl BlockSan {
     pub(crate) fn note_smem_load(&mut self, scope: SmemScope) {
         if scope == SmemScope::Block
             && self.multi_warp
-            && self.mask.barrier
             && self.store_in_epoch
             && !self.barrier_reported
         {

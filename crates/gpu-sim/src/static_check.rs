@@ -14,12 +14,16 @@
 //! [`audit`] evaluates five check classes ([`CheckClass`]) and returns a
 //! three-valued [`Verdict`] for each:
 //!
-//! * `Proven` — holds for every block; [`Gpu::sanitize`] skips the matching
-//!   dynamic check.
-//! * `Refuted` — the descriptor contains a counterexample; dispatch rejects
-//!   the launch before the simulator ever runs it.
+//! * `Proven` — holds for every block, for every launch of this descriptor.
+//! * `Refuted` — the descriptor contains a counterexample; [`Gpu::run`]
+//!   rejects the launch before the simulator ever runs it.
 //! * `NeedsDynamic` — depends on runtime data (gathered indices, barrier
-//!   interleavings); the PR-2 dynamic sanitizer remains the authority.
+//!   interleavings); the dynamic sanitizer remains the authority.
+//!
+//! Every cache miss through [`Gpu::run`] is audited. A cache hit is not: the
+//! launch key fixes the descriptor, so it fixes the verdicts too. A sanitized
+//! launch runs the audit *and* every dynamic check, folding refutations into
+//! its report.
 //!
 //! The kernel's side of the bargain is [`StaticFacts`], a declarative
 //! summary returned by [`Kernel::static_facts`]: sound access-extent bounds
@@ -27,25 +31,24 @@
 //! address-class machinery `block_signature` hashes), the shared-memory
 //! staging discipline, and a per-epoch staging bound. The default is fully
 //! conservative (`NeedsDynamic` everywhere a declaration is required), so a
-//! kernel that declares nothing loses no checking — it only keeps paying
-//! the dynamic price. Soundness of a declaration is the implementor's
-//! burden, exactly like [`Kernel::block_signature`]; the cross-check is that
-//! `static_audit` and `sanitize_all` run both analyses over every
-//! registered kernel and fail CI on any disagreement.
+//! kernel that declares nothing loses no checking. Soundness of a
+//! declaration is the implementor's burden, exactly like
+//! [`Kernel::block_signature`]; the cross-check is that `sanitize_all` runs
+//! both analyses over every registered kernel, so a proof the dynamic
+//! checks contradict fails CI.
 //!
 //! The cross-block racecheck has no static counterpart here (disjointness
 //! of output tiles is data-independent for these kernels but lives behind
-//! `SyncUnsafeSlice`, whose shadow map is cheap to keep always-on), so a
-//! sanitized launch always arms it.
+//! `SyncUnsafeSlice`, whose shadow map is cheap to keep always-on).
 //!
-//! [`Gpu::sanitize`]: crate::launch::Gpu::sanitize
+//! [`Gpu::run`]: crate::launch::Gpu::run
 //! [`Kernel::static_facts`]: crate::kernel::Kernel::static_facts
 //! [`Kernel::block_signature`]: crate::kernel::Kernel::block_signature
 
 use crate::device::DeviceConfig;
 use crate::kernel::Kernel;
 use crate::occupancy;
-use crate::sanitizer::{CheckClass, ChecksMask, Verdict};
+use crate::sanitizer::{CheckClass, Verdict};
 use serde::{Deserialize, Serialize};
 
 /// CUDA architectural limit on threads per block (not a [`DeviceConfig`]
@@ -198,17 +201,6 @@ impl StaticAudit {
     pub fn count(&self, v: Verdict) -> u64 {
         self.findings.iter().filter(|f| f.verdict == v).count() as u64
     }
-
-    /// The dynamic checks a sanitized launch still needs: proven classes
-    /// are disarmed, refuted and undecided classes stay on.
-    pub fn dynamic_mask(&self) -> ChecksMask {
-        ChecksMask {
-            bounds: self.verdict(CheckClass::Bounds) != Verdict::Proven,
-            alignment: self.verdict(CheckClass::Alignment) != Verdict::Proven,
-            shared_capacity: self.verdict(CheckClass::SharedCapacity) != Verdict::Proven,
-            barrier: self.verdict(CheckClass::BarrierStructure) != Verdict::Proven,
-        }
-    }
 }
 
 impl std::fmt::Display for StaticAudit {
@@ -230,28 +222,60 @@ impl std::fmt::Display for StaticAudit {
 /// Audit one kernel's launch descriptor against a device model. Pure
 /// metadata analysis: no block executes, no output buffer is touched.
 pub fn audit(dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticAudit {
+    StaticAudit {
+        kernel: kernel.name(),
+        findings: findings(dev, kernel, Details::All).into(),
+    }
+}
+
+/// Which findings get their detail text formatted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Details {
+    All,
+    /// Only refutations: the launch funnel audits every cache miss, and a
+    /// passing audit must cost no formatting.
+    Refuted,
+}
+
+/// The five findings of [`audit`], one per [`CheckClass`], in
+/// [`CheckClass::ALL`] order.
+pub(crate) fn findings(
+    dev: &DeviceConfig,
+    kernel: &dyn Kernel,
+    details: Details,
+) -> [StaticFinding; 5] {
     let facts = kernel.static_facts();
     let buffers = kernel.buffers();
     let req = kernel.block_requirements();
     let multi_warp = req.threads > dev.warp_size;
-    let findings = vec![
-        check_bounds(&facts, &buffers),
-        check_alignment(&facts),
-        check_shared_capacity(dev, &facts, req.smem_bytes, multi_warp),
-        check_grid_occupancy(dev, kernel),
-        check_barrier(&facts, multi_warp),
-    ];
-    StaticAudit {
-        kernel: kernel.name(),
-        findings,
-    }
+    [
+        check_bounds(details, &facts, &buffers),
+        check_alignment(details, &facts),
+        check_shared_capacity(details, dev, &facts, req.smem_bytes, multi_warp),
+        check_grid_occupancy(details, dev, kernel),
+        check_barrier(details, &facts, multi_warp),
+    ]
 }
 
-fn finding(class: CheckClass, verdict: Verdict, detail: String) -> StaticFinding {
-    StaticFinding {
-        class,
-        verdict,
-        detail,
+/// Builds the findings of one check class.
+#[derive(Clone, Copy)]
+struct Finding {
+    class: CheckClass,
+    details: Details,
+}
+
+impl Finding {
+    fn says(self, verdict: Verdict, detail: std::fmt::Arguments<'_>) -> StaticFinding {
+        let render = self.details == Details::All || verdict == Verdict::Refuted;
+        StaticFinding {
+            class: self.class,
+            verdict,
+            detail: if render {
+                detail.to_string()
+            } else {
+                String::new()
+            },
+        }
     }
 }
 
@@ -259,26 +283,32 @@ fn finding(class: CheckClass, verdict: Verdict, detail: String) -> StaticFinding
 /// footprint. The extent comes from the kernel's tile arithmetic, the
 /// footprint from its operand shapes — agreement of two independently
 /// derived numbers is the proof.
-fn check_bounds(facts: &StaticFacts, buffers: &[crate::cache::BufferSpec]) -> StaticFinding {
-    let class = CheckClass::Bounds;
+fn check_bounds(
+    details: Details,
+    facts: &StaticFacts,
+    buffers: &[crate::cache::BufferSpec],
+) -> StaticFinding {
+    let f = Finding {
+        class: CheckClass::Bounds,
+        details,
+    };
     let Some(declared) = facts.bounds.as_ref() else {
-        return finding(
-            class,
+        return f.says(
             Verdict::NeedsDynamic,
-            "no declared access bounds".into(),
+            format_args!("no declared access bounds"),
         );
     };
     let mut proven = 0usize;
-    let mut dynamic: Option<String> = None;
+    // The first undecided buffer: (name, why).
+    let mut dynamic: Option<(&str, &str)> = None;
     for spec in buffers {
         let bound = declared.iter().find(|b| b.slot == spec.id.0);
         match bound.map(|b| b.bound) {
             Some(AccessBound::Extent(end)) => {
                 if end > spec.footprint_bytes {
-                    return finding(
-                        class,
+                    return f.says(
                         Verdict::Refuted,
-                        format!(
+                        format_args!(
                             "`{}`: access extent {end} B exceeds declared footprint {} B",
                             spec.name, spec.footprint_bytes
                         ),
@@ -287,150 +317,149 @@ fn check_bounds(facts: &StaticFacts, buffers: &[crate::cache::BufferSpec]) -> St
                 proven += 1;
             }
             Some(AccessBound::DataDependent) => {
-                dynamic.get_or_insert_with(|| {
-                    format!("`{}` gathers data-dependent addresses", spec.name)
-                });
+                dynamic.get_or_insert((spec.name, "gathers data-dependent addresses"));
             }
             None => {
-                dynamic.get_or_insert_with(|| format!("`{}` has no declared bound", spec.name));
+                dynamic.get_or_insert((spec.name, "has no declared bound"));
             }
         }
     }
     match dynamic {
-        Some(why) => finding(class, Verdict::NeedsDynamic, why),
-        None => finding(
-            class,
+        Some((name, why)) => f.says(Verdict::NeedsDynamic, format_args!("`{name}` {why}")),
+        None => f.says(
             Verdict::Proven,
-            format!("{proven} buffer extents within declared footprints"),
+            format_args!("{proven} buffer extents within declared footprints"),
         ),
     }
 }
 
-fn check_alignment(facts: &StaticFacts) -> StaticFinding {
-    let class = CheckClass::Alignment;
+fn check_alignment(details: Details, facts: &StaticFacts) -> StaticFinding {
+    let f = Finding {
+        class: CheckClass::Alignment,
+        details,
+    };
     match &facts.alignment {
         AlignmentFacts::ScalarOnly => {
-            finding(class, Verdict::Proven, "no vector accesses issued".into())
+            f.says(Verdict::Proven, format_args!("no vector accesses issued"))
         }
         AlignmentFacts::Residues(sites) => {
             for site in sites {
                 let align = site.vec_width as u64 * site.elem_bytes as u64;
                 if site.vec_width > 1 && site.worst_residue != 0 {
-                    return finding(
-                        class,
+                    return f.says(
                         Verdict::Refuted,
-                        format!(
+                        format_args!(
                             "slot {} vec{} access class {} mod {align} is misaligned",
                             site.slot, site.vec_width, site.worst_residue
                         ),
                     );
                 }
             }
-            finding(
-                class,
+            f.says(
                 Verdict::Proven,
-                format!("{} vector-access sites in residue class 0", sites.len()),
+                format_args!("{} vector-access sites in residue class 0", sites.len()),
             )
         }
-        AlignmentFacts::DataDependent => finding(
-            class,
+        AlignmentFacts::DataDependent => f.says(
             Verdict::NeedsDynamic,
-            "vector addresses depend on runtime data".into(),
+            format_args!("vector addresses depend on runtime data"),
         ),
     }
 }
 
 fn check_shared_capacity(
+    details: Details,
     dev: &DeviceConfig,
     facts: &StaticFacts,
     smem_bytes: u32,
     multi_warp: bool,
 ) -> StaticFinding {
-    let class = CheckClass::SharedCapacity;
+    let f = Finding {
+        class: CheckClass::SharedCapacity,
+        details,
+    };
     if smem_bytes > dev.smem_per_block_max {
-        return finding(
-            class,
+        return f.says(
             Verdict::Refuted,
-            format!(
+            format_args!(
                 "{smem_bytes} B per block exceeds device cap {} B",
                 dev.smem_per_block_max
             ),
         );
     }
     if !multi_warp {
-        return finding(
-            class,
+        return f.says(
             Verdict::Proven,
-            "single-warp block: staging is warp-synchronous".into(),
+            format_args!("single-warp block: staging is warp-synchronous"),
         );
     }
     match facts.stage {
         StageBound::Bytes(staged) => {
             if staged == 0 {
-                finding(class, Verdict::Proven, "no block-scope staging".into())
+                f.says(Verdict::Proven, format_args!("no block-scope staging"))
             } else if smem_bytes == 0 {
-                finding(
-                    class,
+                f.says(
                     Verdict::Refuted,
-                    format!("{staged} B staged per epoch with no declared shared memory"),
+                    format_args!("{staged} B staged per epoch with no declared shared memory"),
                 )
             } else if staged > smem_bytes as u64 {
-                finding(
-                    class,
+                f.says(
                     Verdict::Refuted,
-                    format!("{staged} B staged per epoch exceeds declared {smem_bytes} B"),
+                    format_args!("{staged} B staged per epoch exceeds declared {smem_bytes} B"),
                 )
             } else {
-                finding(
-                    class,
+                f.says(
                     Verdict::Proven,
-                    format!("<= {staged} B staged per epoch within declared {smem_bytes} B"),
+                    format_args!("<= {staged} B staged per epoch within declared {smem_bytes} B"),
                 )
             }
         }
-        StageBound::Unknown => finding(
-            class,
+        StageBound::Unknown => f.says(
             Verdict::NeedsDynamic,
-            "per-epoch staging bound undeclared".into(),
+            format_args!("per-epoch staging bound undeclared"),
         ),
     }
 }
 
 /// Grid/occupancy needs no kernel declaration: it is fully decided by the
 /// launch descriptor and the device model.
-fn check_grid_occupancy(dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticFinding {
-    let class = CheckClass::GridOccupancy;
+fn check_grid_occupancy(
+    details: Details,
+    dev: &DeviceConfig,
+    kernel: &dyn Kernel,
+) -> StaticFinding {
+    let f = Finding {
+        class: CheckClass::GridOccupancy,
+        details,
+    };
     let grid = kernel.grid();
     let block = kernel.block_dim();
     let req = kernel.block_requirements();
     if req.threads == 0 {
-        return finding(class, Verdict::Refuted, "zero threads per block".into());
+        return f.says(Verdict::Refuted, format_args!("zero threads per block"));
     }
     if req.threads > MAX_THREADS_PER_BLOCK {
-        return finding(
-            class,
+        return f.says(
             Verdict::Refuted,
-            format!(
+            format_args!(
                 "{} threads per block exceeds the {MAX_THREADS_PER_BLOCK}-thread limit",
                 req.threads
             ),
         );
     }
     if block.x > MAX_BLOCK_DIM.0 || block.y > MAX_BLOCK_DIM.1 || block.z > MAX_BLOCK_DIM.2 {
-        return finding(
-            class,
+        return f.says(
             Verdict::Refuted,
-            format!(
+            format_args!(
                 "block dim ({}, {}, {}) exceeds hardware limits",
                 block.x, block.y, block.z
             ),
         );
     }
     if grid.x > MAX_GRID_DIM.0 || grid.y > MAX_GRID_DIM.1 || grid.z > MAX_GRID_DIM.2 {
-        return finding(
-            class,
+        return f.says(
             Verdict::Refuted,
-            format!(
+            format_args!(
                 "grid dim ({}, {}, {}) exceeds hardware limits",
                 grid.x, grid.y, grid.z
             ),
@@ -438,54 +467,50 @@ fn check_grid_occupancy(dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticFindin
     }
     let occ = occupancy::occupancy(dev, &req);
     if occ.blocks_per_sm == 0 {
-        return finding(
-            class,
+        return f.says(
             Verdict::Refuted,
-            format!(
+            format_args!(
                 "zero occupancy: no block fits on an SM (limited by {:?})",
                 occ.limited_by
             ),
         );
     }
-    finding(
-        class,
+    f.says(
         Verdict::Proven,
-        format!(
+        format_args!(
             "{} blocks/SM ({} warps), dims within limits",
             occ.blocks_per_sm, occ.warps_per_sm
         ),
     )
 }
 
-fn check_barrier(facts: &StaticFacts, multi_warp: bool) -> StaticFinding {
-    let class = CheckClass::BarrierStructure;
+fn check_barrier(details: Details, facts: &StaticFacts, multi_warp: bool) -> StaticFinding {
+    let f = Finding {
+        class: CheckClass::BarrierStructure,
+        details,
+    };
     if !multi_warp {
-        return finding(
-            class,
+        return f.says(
             Verdict::Proven,
-            "single-warp block: no cross-warp hazards".into(),
+            format_args!("single-warp block: no cross-warp hazards"),
         );
     }
     match facts.barrier {
-        BarrierFacts::WarpSynchronous => finding(
-            class,
+        BarrierFacts::WarpSynchronous => f.says(
             Verdict::Proven,
-            "all staging is warp-synchronous".into(),
+            format_args!("all staging is warp-synchronous"),
         ),
-        BarrierFacts::BarrierSeparated => finding(
-            class,
+        BarrierFacts::BarrierSeparated => f.says(
             Verdict::NeedsDynamic,
-            "barrier-separated phases: interleaving checked dynamically".into(),
+            format_args!("barrier-separated phases: interleaving checked dynamically"),
         ),
-        BarrierFacts::NoBarrier => finding(
-            class,
+        BarrierFacts::NoBarrier => f.says(
             Verdict::Refuted,
-            "block-scope staging with no bar_sync in a multi-warp block".into(),
+            format_args!("block-scope staging with no bar_sync in a multi-warp block"),
         ),
-        BarrierFacts::Unknown => finding(
-            class,
+        BarrierFacts::Unknown => f.says(
             Verdict::NeedsDynamic,
-            "barrier discipline undeclared".into(),
+            format_args!("barrier discipline undeclared"),
         ),
     }
 }
@@ -563,9 +588,6 @@ mod tests {
         let audit = audit(&dev(), &Probe::clean());
         assert_eq!(audit.proven(), 5, "{audit}");
         assert!(audit.refutation().is_none());
-        let mask = audit.dynamic_mask();
-        assert!(!mask.bounds && !mask.alignment && !mask.shared_capacity && !mask.barrier);
-        assert_eq!(mask.skipped(), 4);
     }
 
     #[test]
@@ -582,7 +604,6 @@ mod tests {
         ] {
             assert_eq!(audit.verdict(class), Verdict::NeedsDynamic, "{class:?}");
         }
-        assert_eq!(audit.dynamic_mask(), ChecksMask::ALL);
     }
 
     #[test]
@@ -594,8 +615,6 @@ mod tests {
         }]);
         let audit = audit(&dev(), &probe);
         assert_eq!(audit.verdict(CheckClass::Bounds), Verdict::Refuted);
-        // Refuted classes stay dynamically armed: defense in depth.
-        assert!(audit.dynamic_mask().bounds);
     }
 
     #[test]

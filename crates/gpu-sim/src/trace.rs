@@ -541,6 +541,22 @@ impl Json {
         }
     }
 
+    /// A number that is an exact non-negative integer (JSON has one number
+    /// type; counts round-trip exactly up to 2^53).
+    pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        self.as_num()
+            .filter(|n| n.fract() == 0.0 && (0.0..=EXACT).contains(n))
+            .map(|n| n as u64)
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),

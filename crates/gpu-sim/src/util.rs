@@ -50,7 +50,7 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     /// The bounds check is always on (not `debug_assert!`): an out-of-bounds
     /// index panics in normal launches and becomes a recorded
     /// [`SanitizerViolation`](crate::sanitizer::SanitizerViolation) under
-    /// [`Gpu::sanitize`](crate::Gpu::sanitize), never UB. Under a sanitized
+    /// a sanitized [`Gpu::run`](crate::Gpu::run), never UB. Under a sanitized
     /// launch the write also claims `index` in the cross-block shadow map;
     /// a write that would race an earlier block's is recorded and skipped
     /// (performing it would be the very race being reported).

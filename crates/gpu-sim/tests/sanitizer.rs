@@ -3,11 +3,40 @@
 //! that violation — and that well-behaved kernels come back clean.
 
 use gpu_sim::{
-    AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, LaunchSummary,
-    SanitizerViolation, SanitizerWarning, SmemScope, SyncUnsafeSlice,
+    AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, Launch, LaunchCache,
+    LaunchStats, LaunchSummary, SanitizerReport, SanitizerViolation, SanitizerWarning, SmemScope,
+    SyncUnsafeSlice,
 };
 
 const BUF: BufferId = BufferId(0);
+
+/// A sanitized launch through the funnel: `(stats, report)`.
+fn sanitize(gpu: &Gpu, kernel: &dyn Kernel) -> (LaunchStats, SanitizerReport) {
+    let (stats, report, _) = run_sanitized(gpu, &Launch::SANITIZE, kernel);
+    (stats, report)
+}
+
+/// A cached sanitized launch: `(stats, report, hit)`.
+fn sanitize_cached(
+    gpu: &Gpu,
+    cache: &LaunchCache,
+    fingerprint: u64,
+    kernel: &dyn Kernel,
+) -> (LaunchStats, SanitizerReport, bool) {
+    run_sanitized(gpu, &Launch::SANITIZE.cached(cache, fingerprint), kernel)
+}
+
+fn run_sanitized(
+    gpu: &Gpu,
+    req: &Launch<'_>,
+    kernel: &dyn Kernel,
+) -> (LaunchStats, SanitizerReport, bool) {
+    let launched = gpu.run(req, kernel).unwrap_or_else(|e| panic!("{e}"));
+    let Some(report) = launched.report else {
+        panic!("a sanitized launch must carry a report");
+    };
+    (launched.stats, report, launched.hit)
+}
 
 fn buffer(footprint_bytes: u64) -> Vec<BufferSpec> {
     vec![BufferSpec {
@@ -51,7 +80,7 @@ fn oob_slice_write_is_reported() {
     let kernel = OobWriteKernel {
         out: SyncUnsafeSlice::new(&mut data),
     };
-    let (_, report) = gpu.sanitize(&kernel).unwrap();
+    let (_, report) = sanitize(&gpu, &kernel);
     assert_eq!(report.violation_count, 1);
     assert_eq!(
         report.violations[0],
@@ -111,7 +140,7 @@ fn cross_block_race_is_reported() {
         out: SyncUnsafeSlice::new(&mut data),
         atomic: false,
     };
-    let (_, report) = gpu.sanitize(&kernel).unwrap();
+    let (_, report) = sanitize(&gpu, &kernel);
     assert_eq!(report.violation_count, 1);
     assert!(
         matches!(
@@ -131,7 +160,7 @@ fn atomic_kernels_are_exempt_from_racecheck() {
         out: SyncUnsafeSlice::new(&mut data),
         atomic: true,
     };
-    let (_, report) = gpu.sanitize(&kernel).unwrap();
+    let (_, report) = sanitize(&gpu, &kernel);
     assert_eq!(
         report.violation_count, 0,
         "atomic overlap must not be flagged: {report}"
@@ -162,7 +191,7 @@ impl Kernel for MisalignedKernel {
 #[test]
 fn misaligned_vector_access_is_reported() {
     let gpu = Gpu::v100();
-    let (_, report) = gpu.sanitize(&MisalignedKernel).unwrap();
+    let (_, report) = sanitize(&gpu, &MisalignedKernel);
     assert_eq!(report.violation_count, 1);
     assert_eq!(
         report.violations[0],
@@ -209,7 +238,7 @@ impl Kernel for SmemKernel {
 #[test]
 fn missing_barrier_is_reported() {
     let gpu = Gpu::v100();
-    let (_, report) = gpu.sanitize(&SmemKernel { barrier: false }).unwrap();
+    let (_, report) = sanitize(&gpu, &SmemKernel { barrier: false });
     assert_eq!(report.violation_count, 1);
     assert_eq!(
         report.violations[0],
@@ -220,7 +249,7 @@ fn missing_barrier_is_reported() {
 #[test]
 fn barriered_smem_roundtrip_is_clean() {
     let gpu = Gpu::v100();
-    let (_, report) = gpu.sanitize(&SmemKernel { barrier: true }).unwrap();
+    let (_, report) = sanitize(&gpu, &SmemKernel { barrier: true });
     assert_eq!(report.violation_count, 0, "{report}");
 }
 
@@ -248,7 +277,7 @@ impl Kernel for GlobalOobKernel {
 #[test]
 fn global_footprint_overrun_is_reported() {
     let gpu = Gpu::v100();
-    let (_, report) = gpu.sanitize(&GlobalOobKernel).unwrap();
+    let (_, report) = sanitize(&gpu, &GlobalOobKernel);
     assert_eq!(report.violation_count, 1);
     assert_eq!(
         report.violations[0],
@@ -290,7 +319,7 @@ impl Kernel for BankConflictKernel {
 #[test]
 fn bank_conflicts_warn_but_do_not_fail() {
     let gpu = Gpu::v100();
-    let (_, report) = gpu.sanitize(&BankConflictKernel).unwrap();
+    let (_, report) = sanitize(&gpu, &BankConflictKernel);
     assert_eq!(report.violation_count, 0);
     assert_eq!(report.warning_count, 1);
     assert_eq!(
@@ -342,7 +371,7 @@ fn clean_kernel_reports_nothing_and_still_computes() {
     let kernel = CleanKernel {
         out: SyncUnsafeSlice::new(&mut data),
     };
-    let (stats, report) = gpu.sanitize(&kernel).unwrap();
+    let (stats, report) = sanitize(&gpu, &kernel);
     assert_eq!(report.violation_count, 0, "{report}");
     assert_eq!(report.warning_count, 0);
     assert_eq!(report.blocks, 4);
@@ -365,7 +394,7 @@ fn sanitized_stats_match_plain_launch() {
     let kernel = CleanKernel {
         out: SyncUnsafeSlice::new(&mut b),
     };
-    let (sanitized, _) = gpu.sanitize(&kernel).unwrap();
+    let (sanitized, _) = sanitize(&gpu, &kernel);
     assert_eq!(plain.time_us, sanitized.time_us);
     assert_eq!(plain.instructions, sanitized.instructions);
     assert_eq!(plain.dram_bytes, sanitized.dram_bytes);
@@ -381,10 +410,10 @@ fn launch_summary_accumulates_sanitizer_counts() {
         out: SyncUnsafeSlice::new(&mut data),
         atomic: false,
     };
-    let (stats, report) = gpu.sanitize(&kernel).unwrap();
+    let (stats, report) = sanitize(&gpu, &kernel);
     summary.add_sanitized(&stats, &report);
 
-    let (stats, report) = gpu.sanitize(&BankConflictKernel).unwrap();
+    let (stats, report) = sanitize(&gpu, &BankConflictKernel);
     summary.add_sanitized(&stats, &report);
 
     assert_eq!(summary.launches, 2);
@@ -403,7 +432,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
         let kernel = CleanKernel {
             out: SyncUnsafeSlice::new(&mut a),
         };
-        gpu.sanitize_cached(&cache, fingerprint, &kernel).unwrap()
+        sanitize_cached(&gpu, &cache, fingerprint, &kernel)
     };
     assert!(!hit, "first sight of the fingerprint cannot be a cache hit");
     assert_eq!(a[65], 1.0);
@@ -417,7 +446,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
         let kernel = CleanKernel {
             out: SyncUnsafeSlice::new(&mut b),
         };
-        gpu.sanitize_cached(&cache, fingerprint, &kernel).unwrap()
+        sanitize_cached(&gpu, &cache, fingerprint, &kernel)
     };
     assert!(
         hit,
@@ -446,15 +475,15 @@ fn sanitize_cached_distinguishes_fingerprints() {
     let kernel = CleanKernel {
         out: SyncUnsafeSlice::new(&mut a),
     };
-    let (_, _, hit) = gpu.sanitize_cached(&cache, 1, &kernel).unwrap();
+    let (_, _, hit) = sanitize_cached(&gpu, &cache, 1, &kernel);
     assert!(!hit);
     // A different operand fingerprint is a different launch: no false hit.
-    let (_, _, hit) = gpu.sanitize_cached(&cache, 2, &kernel).unwrap();
+    let (_, _, hit) = sanitize_cached(&gpu, &cache, 2, &kernel);
     assert!(
         !hit,
         "distinct fingerprints must not share sanitize entries"
     );
-    let (_, _, hit) = gpu.sanitize_cached(&cache, 1, &kernel).unwrap();
+    let (_, _, hit) = sanitize_cached(&gpu, &cache, 1, &kernel);
     assert!(hit);
 }
 
@@ -467,11 +496,11 @@ fn sanitize_cached_replays_violations_from_the_cache() {
     let gpu = Gpu::v100();
     let cache = gpu_sim::LaunchCache::new();
 
-    let (_, cold_report, hit) = gpu.sanitize_cached(&cache, 9, &GlobalOobKernel).unwrap();
+    let (_, cold_report, hit) = sanitize_cached(&gpu, &cache, 9, &GlobalOobKernel);
     assert!(!hit);
     assert_eq!(cold_report.violation_count, 1);
 
-    let (_, report, hit) = gpu.sanitize_cached(&cache, 9, &GlobalOobKernel).unwrap();
+    let (_, report, hit) = sanitize_cached(&gpu, &cache, 9, &GlobalOobKernel);
     assert!(hit);
     assert_eq!(report.violation_count, 1);
     assert_eq!(report.violations, cold_report.violations);

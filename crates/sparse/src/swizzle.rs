@@ -38,6 +38,16 @@ impl RowSwizzle {
         Self { order }
     }
 
+    /// The ordering a kernel config asks for: [`RowSwizzle::by_length_desc`]
+    /// when `enabled` (the config's `row_swizzle` flag), else the identity.
+    pub fn new<T: Scalar>(m: &CsrMatrix<T>, enabled: bool) -> Self {
+        if enabled {
+            Self::by_length_desc(m)
+        } else {
+            Self::identity(m.rows())
+        }
+    }
+
     /// The row processed by the `i`-th scheduled unit of work.
     #[inline]
     pub fn row(&self, i: usize) -> usize {
