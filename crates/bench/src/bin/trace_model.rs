@@ -78,6 +78,7 @@ fn main() {
     let b = Matrix::<f32>::random(64, 32, 4);
     let (_, report) = match sputnik::dispatch::spmm(
         &faulty,
+        None,
         &a,
         &b,
         SpmmConfig::default(),

@@ -1,28 +1,26 @@
-//! Batched kernel launches.
+//! Batched dispatch windows.
 //!
 //! Sparse attention runs the *same* sparse topology against many dense
-//! operands — one per (head, batch element) — and sparse training reuses one
-//! weight topology across micro-batches. These helpers amortize everything
-//! amortizable: the row swizzle is computed once, the launches go through a
-//! [`gpu_sim::Stream`] so consecutive kernels overlap their launch overhead
-//! (as back-to-back launches do on real hardware), and the stream consults a
-//! [`LaunchCache`] — the simulated statistics depend on the topology and
-//! configuration, not the dense values, so items 2..k of a batch replay item
-//! 1's simulation instead of re-running it. The usual bypass rule applies: a
-//! [`Gpu`] carrying a fault plan simulates every launch in full.
+//! operands — one per (head, batch element) — and a serving window coalesces
+//! requests on one topology. A window here is a plain loop over the
+//! fault-tolerant entry points [`dispatch::spmm`] / [`dispatch::sddmm`]
+//! through one caller-owned [`LaunchCache`]: the simulated statistics depend
+//! on the topology and configuration, not the dense values, so items 2..k
+//! replay item 1's simulation, and repeated windows (layers, training steps,
+//! serving batches) hit across calls too. An armed [`gpu_sim::FaultPlan`]
+//! degrades individual items down the ladder instead of killing the window,
+//! and, as everywhere, bypasses the cache.
 //!
-//! [`spmm_batched`] / [`sddmm_batched`] memoize within the one call (a
-//! private per-batch cache); the `_cached` variants accept a caller-owned
-//! cache so repeated batches (layers, training steps) hit across calls too.
+//! The window's device time pipelines the GPU-served launches with
+//! [`gpu_sim::pipelined_us`], the function behind
+//! [`gpu_sim::Stream::total_us`], so back-to-back items overlap their launch
+//! overhead as they would on real hardware.
 
 use crate::config::{SddmmConfig, SpmmConfig};
-use crate::dispatch::{self, Attempt, DispatchPolicy, DispatchReport, Rung};
-use crate::error::{is_transient, SputnikError};
-use crate::reference;
-use crate::sddmm::{self, SddmmKernel};
-use crate::spmm::{self, SpmmKernel};
-use gpu_sim::{Gpu, Launch, LaunchCache, LaunchStats, Stream};
-use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
+use crate::dispatch::{self, DispatchPolicy, DispatchReport, Rung};
+use crate::error::SputnikError;
+use gpu_sim::{Gpu, LaunchCache};
+use sparse::{CsrMatrix, Matrix, Scalar};
 
 /// Per-item attribution for batched launches that bypass the launch cache
 /// because the [`Gpu`] carries a fault plan. The bypass itself is silent
@@ -39,148 +37,23 @@ fn note_fault_plan_bypass(gpu: &Gpu, op: &str, item: usize) {
     }
 }
 
-/// Result of a batched launch: per-item outputs plus stream-level timing.
-pub struct BatchedResult<T> {
-    pub outputs: Vec<T>,
-    /// Total simulated time with launch overhead pipelined.
-    pub stream_us: f64,
-    /// Sum of standalone launch times (what naive sequential launches cost).
-    pub naive_us: f64,
-    /// Launches whose statistics were replayed from the launch cache.
-    pub cache_hits: u64,
-}
-
-impl<T> BatchedResult<T> {
-    /// How much the stream pipelining saved.
-    ///
-    /// Invariant: **never negative**. Pipelining can only hide launch
-    /// overhead behind execution, so a stream slower than its naive
-    /// back-to-back sum is a model violation — the batched constructors
-    /// assert it on every batch.
-    pub fn overhead_saved_us(&self) -> f64 {
-        self.naive_us - self.stream_us
-    }
-}
-
-/// Check the stream-vs-naive model invariant for a finished batch.
-fn assert_stream_invariant(stream_us: f64, naive_us: f64) {
-    assert!(
-        stream_us <= naive_us + 1e-9,
-        "model violation: stream time {stream_us} us exceeds naive sequential {naive_us} us \
-         (pipelining can only hide overhead)"
-    );
-}
-
-/// SpMM of one sparse matrix against many dense operands, memoized within
-/// the batch (every item shares `a`'s topology and `cfg`, so items 2..k are
-/// cache replays).
-pub fn spmm_batched<T: Scalar>(
-    gpu: &Gpu,
-    a: &CsrMatrix<T>,
-    bs: &[&Matrix<T>],
-    cfg: SpmmConfig,
-) -> BatchedResult<Matrix<T>> {
-    let cache = LaunchCache::new();
-    spmm_batched_cached(gpu, &cache, a, bs, cfg)
-}
-
-/// [`spmm_batched`] through a caller-owned [`LaunchCache`], so repeated
-/// batches on the same topology hit across calls.
-pub fn spmm_batched_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    bs: &[&Matrix<T>],
-    cfg: SpmmConfig,
-) -> BatchedResult<Matrix<T>> {
-    let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
-    let mut stream = Stream::with_cache(gpu, cache);
-    let mut outputs = Vec::with_capacity(bs.len());
-    let mut naive_us = 0.0;
-    for (item, b) in bs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "spmm", item);
-        let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-        let fingerprint = spmm::operand_fingerprint(a, b.cols());
-        let stats = {
-            let kernel = SpmmKernel::new(a, b, &mut out, &swizzle, cfg);
-            stream.launch_cached(fingerprint, &kernel)
-        };
-        naive_us += stats.time_us;
-        outputs.push(out);
-    }
-    let stream_us = stream.total_us();
-    assert_stream_invariant(stream_us, naive_us);
-    BatchedResult {
-        outputs,
-        stream_us,
-        naive_us,
-        cache_hits: stream.cache_hits(),
-    }
-}
-
-/// SDDMM of one mask against many (lhs, rhs) pairs — the per-head QK^T of
-/// sparse attention ("the sparse attention mask ... is shared by all
-/// attention heads and layers"). Memoized within the batch like
-/// [`spmm_batched`].
-pub fn sddmm_batched<T: Scalar>(
-    gpu: &Gpu,
-    pairs: &[(&Matrix<T>, &Matrix<T>)],
-    mask: &CsrMatrix<T>,
-    cfg: SddmmConfig,
-) -> BatchedResult<CsrMatrix<T>> {
-    let cache = LaunchCache::new();
-    sddmm_batched_cached(gpu, &cache, pairs, mask, cfg)
-}
-
-/// [`sddmm_batched`] through a caller-owned [`LaunchCache`].
-pub fn sddmm_batched_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    pairs: &[(&Matrix<T>, &Matrix<T>)],
-    mask: &CsrMatrix<T>,
-    cfg: SddmmConfig,
-) -> BatchedResult<CsrMatrix<T>> {
-    let swizzle = RowSwizzle::new(mask, cfg.row_swizzle);
-    let mut stream = Stream::with_cache(gpu, cache);
-    let mut outputs = Vec::with_capacity(pairs.len());
-    let mut naive_us = 0.0;
-    for (item, (lhs, rhs)) in pairs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "sddmm", item);
-        let mut values = vec![T::zero(); mask.nnz()];
-        let fingerprint = sddmm::mask_fingerprint(mask, lhs.cols());
-        let stats = {
-            let kernel = SddmmKernel::new(lhs, rhs, mask, &mut values, &swizzle, cfg);
-            stream.launch_cached(fingerprint, &kernel)
-        };
-        naive_us += stats.time_us;
-        outputs.push(mask.with_values(values));
-    }
-    let stream_us = stream.total_us();
-    assert_stream_invariant(stream_us, naive_us);
-    BatchedResult {
-        outputs,
-        stream_us,
-        naive_us,
-        cache_hits: stream.cache_hits(),
-    }
-}
-
 /// Result of a fault-tolerant batched window: per-item outputs plus the
 /// [`DispatchReport`] for every item, so serving layers can attribute each
 /// request to the degradation rung that produced its answer.
 ///
-/// Timing mirrors [`BatchedResult`]: `stream_us` pipelines the GPU-served
-/// launches' overhead exactly like [`gpu_sim::Stream`] would (one exposed
-/// launch overhead, subsequent launches hidden behind execution), plus the
-/// simulated retry backoff. CPU-served items contribute **no** simulated
-/// device time here — the caller owns the host-time model (see
-/// `serve::ServePolicy::cpu_service_us`), because how expensive a host
-/// fallback is depends on what else the host is doing.
+/// `stream_us` pipelines the GPU-served launches with
+/// [`gpu_sim::pipelined_us`] (one exposed launch overhead, subsequent
+/// launches hidden behind execution), plus the simulated retry backoff.
+/// CPU-served items contribute **no** simulated device time here — the
+/// caller owns the host-time model (see `serve::ServePolicy::cpu_service_us`),
+/// because how expensive a host fallback is depends on what else the host is
+/// doing.
 pub struct DispatchedBatch<T> {
     pub outputs: Vec<T>,
     /// Per-item dispatch reports, same order as `outputs`.
     pub reports: Vec<DispatchReport>,
     /// Pipelined simulated time of the GPU-served launches plus backoff.
+    /// Never exceeds `naive_us`: pipelining can only hide overhead.
     pub stream_us: f64,
     /// Sum of standalone GPU launch times plus backoff (naive sequential).
     pub naive_us: f64,
@@ -203,37 +76,9 @@ impl<T> DispatchedBatch<T> {
     }
 }
 
-/// Pipeline the GPU-served launches of a dispatched batch the way
-/// [`Stream::total_us`] would: one exposed launch overhead, each
-/// non-final kernel hides the next launch's setup unless it is shorter than
-/// the short-kernel gap. Backoff (simulated retry delay) is serial in both
-/// views. Returns `(stream_us, naive_us)`.
-fn pipeline_dispatched(gpu: &Gpu, reports: &[DispatchReport]) -> (f64, f64) {
-    let overhead = gpu.device().launch_overhead_us;
-    let times: Vec<f64> = reports
-        .iter()
-        .filter_map(|r| r.stats.as_ref().map(|s| s.time_us))
-        .collect();
-    let backoff: f64 = reports.iter().map(|r| r.backoff_us).sum();
-    let naive_us: f64 = times.iter().sum::<f64>() + backoff;
-    let mut stream_us = if times.is_empty() { 0.0 } else { overhead };
-    for (i, &t) in times.iter().enumerate() {
-        let exec = t - overhead;
-        stream_us += if i + 1 < times.len() {
-            exec.max(overhead * 0.3)
-        } else {
-            exec
-        };
-    }
-    (stream_us + backoff, naive_us)
-}
-
-/// Fault-tolerant batched SpMM: every item goes through the
-/// [`crate::dispatch`] degradation ladder (retry → heuristic → fallback →
-/// CPU), so an armed [`gpu_sim::FaultPlan`] degrades individual items
-/// instead of killing the batch. Clean items consult `cache` exactly like
-/// [`spmm_batched_cached`] (fault-plan GPUs bypass it, and each bypassed
-/// item leaves a trace instant for auditability).
+/// Fault-tolerant batched SpMM of one sparse matrix against many dense
+/// operands: every item goes through [`dispatch::spmm`] (Sputnik →
+/// heuristic → fallback → CPU) with `cache`.
 ///
 /// Errors are returned only for deterministic input violations; transient
 /// device faults always land on a rung.
@@ -245,73 +90,17 @@ pub fn spmm_batched_dispatch<T: Scalar>(
     cfg: SpmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<DispatchedBatch<Matrix<T>>, SputnikError> {
-    let hits_before = cache.hits();
-    let mut outputs = Vec::with_capacity(bs.len());
-    let mut reports = Vec::with_capacity(bs.len());
-    for (item, b) in bs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "spmm-dispatch", item);
-        let (out, report) = dispatch::spmm_cached(gpu, cache, a, b, cfg, policy)?;
-        outputs.push(out);
-        reports.push(report);
-    }
-    let (stream_us, naive_us) = pipeline_dispatched(gpu, &reports);
-    assert_stream_invariant(stream_us, naive_us);
-    Ok(DispatchedBatch {
-        outputs,
-        reports,
-        stream_us,
-        naive_us,
-        cache_hits: cache.hits() - hits_before,
+    window(gpu, cache, "spmm-dispatch", bs, |b| {
+        dispatch::spmm(gpu, Some(cache), a, b, cfg, policy)
     })
 }
 
-/// Scan an SDDMM output for non-finite values (the SDDMM ladder's detection
-/// guard; the SpMM checksum has no cheap SDDMM analogue — recomputing the
-/// masked dot products *is* the kernel).
-fn check_sddmm_output<T: Scalar>(
-    out: &CsrMatrix<T>,
-    policy: &DispatchPolicy,
-    kernel: &str,
-) -> Result<(), SputnikError> {
-    if !policy.check_finite {
-        return Ok(());
-    }
-    for v in out.values() {
-        if !v.to_f32().is_finite() {
-            return Err(SputnikError::CorruptOutput {
-                kernel: kernel.to_string(),
-                reason: "non-finite value in output".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One SDDMM launch through the cross-launch cache (the SDDMM analogue of
-/// the dispatch module's `launch_sputnik`).
-fn launch_sddmm_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    lhs: &Matrix<T>,
-    rhs: &Matrix<T>,
-    mask: &CsrMatrix<T>,
-    swizzle: &RowSwizzle,
-    cfg: SddmmConfig,
-) -> Result<(CsrMatrix<T>, LaunchStats), SputnikError> {
-    let mut values = vec![T::zero(); mask.nnz()];
-    let launched = {
-        let kernel = SddmmKernel::try_new(lhs, rhs, mask, &mut values, swizzle, cfg)?;
-        let req = Launch::FUNCTIONAL.cached(cache, sddmm::mask_fingerprint(mask, lhs.cols()));
-        gpu.run(&req, &kernel)?
-    };
-    Ok((mask.with_values(values), launched.stats))
-}
-
-/// Fault-tolerant batched SDDMM: the SDDMM arm of the serving front door.
-/// The ladder is shorter than SpMM's — requested config → heuristic config →
-/// CPU reference — because there is no separate fallback SDDMM kernel; the
-/// rung that served each item still lands in its [`DispatchReport`] so
-/// chaos runs stay fully attributed.
+/// Fault-tolerant batched SDDMM of one mask against many (lhs, rhs) pairs —
+/// the per-head QK^T of sparse attention ("the sparse attention mask ... is
+/// shared by all attention heads and layers"): every item goes through
+/// [`dispatch::sddmm`] (Sputnik → heuristic → CPU) with `cache`.
+///
+/// Errors are returned only for deterministic input violations.
 pub fn sddmm_batched_dispatch<T: Scalar>(
     gpu: &Gpu,
     cache: &LaunchCache,
@@ -320,98 +109,40 @@ pub fn sddmm_batched_dispatch<T: Scalar>(
     cfg: SddmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<DispatchedBatch<CsrMatrix<T>>, SputnikError> {
+    window(gpu, cache, "sddmm-dispatch", pairs, |&(lhs, rhs)| {
+        dispatch::sddmm(gpu, Some(cache), lhs, rhs, mask, cfg, policy)
+    })
+}
+
+/// Serve every item of a window in order, then time the window.
+fn window<I, T>(
+    gpu: &Gpu,
+    cache: &LaunchCache,
+    op: &str,
+    items: &[I],
+    mut serve: impl FnMut(&I) -> Result<(T, DispatchReport), SputnikError>,
+) -> Result<DispatchedBatch<T>, SputnikError> {
     let hits_before = cache.hits();
-    let swizzle_desc = RowSwizzle::by_length_desc(mask);
-    let swizzle_id = RowSwizzle::identity(mask.rows());
-    let mut outputs = Vec::with_capacity(pairs.len());
-    let mut reports = Vec::with_capacity(pairs.len());
-    for (item, (lhs, rhs)) in pairs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "sddmm-dispatch", item);
-        let heuristic = SddmmConfig::heuristic::<T>(lhs.cols());
-        let mut rungs = vec![(Rung::Sputnik, cfg)];
-        if heuristic != cfg {
-            rungs.push((Rung::Heuristic, heuristic));
-        }
-        let mut attempts = Vec::new();
-        let mut backoff_us = 0.0f64;
-        let mut served: Option<(CsrMatrix<T>, DispatchReport)> = None;
-        'ladder: for (rung, rung_cfg) in rungs {
-            for attempt in 0..policy.attempts_per_rung {
-                if attempt > 0 {
-                    backoff_us += policy.backoff_base_us * f64::from(1u32 << (attempt - 1));
-                }
-                let swizzle = if rung_cfg.row_swizzle {
-                    &swizzle_desc
-                } else {
-                    &swizzle_id
-                };
-                let result = launch_sddmm_cached(gpu, cache, lhs, rhs, mask, swizzle, rung_cfg)
-                    .and_then(|(out, stats)| {
-                        check_sddmm_output(&out, policy, &stats.kernel)?;
-                        Ok((out, stats))
-                    });
-                match result {
-                    Ok((out, stats)) => {
-                        if rung != Rung::Sputnik {
-                            gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-                            if gpu_sim::trace::enabled() {
-                                gpu_sim::trace::instant(
-                                    "dispatch",
-                                    "dispatch",
-                                    &format!("degraded: sddmm served by {rung} ({})", stats.kernel),
-                                );
-                            }
-                        }
-                        let report = DispatchReport {
-                            served_by: rung,
-                            stats: Some(stats),
-                            attempts: std::mem::take(&mut attempts),
-                            backoff_us,
-                        };
-                        served = Some((out, report));
-                        break 'ladder;
-                    }
-                    Err(err) => {
-                        let transient = is_transient(&err);
-                        gpu_sim::metrics::global().incr("dispatch_failed_attempts", 1);
-                        if gpu_sim::trace::enabled() {
-                            gpu_sim::trace::instant(
-                                "dispatch",
-                                "dispatch",
-                                &format!("sddmm rung {rung} attempt {attempt} failed: {err}"),
-                            );
-                        }
-                        attempts.push(Attempt { rung, error: err });
-                        if !transient {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let (out, report) = served.unwrap_or_else(|| {
-            // Last rung: host execution, cannot fail.
-            gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-            if gpu_sim::trace::enabled() {
-                gpu_sim::trace::instant("dispatch", "dispatch", "degraded: sddmm on cpu-reference");
-            }
-            let out32 = reference::sddmm(&lhs.to_f32(), &rhs.to_f32(), mask);
-            let values: Vec<T> = out32.values().iter().map(|&v| T::from_f32(v)).collect();
-            (
-                mask.with_values(values),
-                DispatchReport {
-                    served_by: Rung::CpuReference,
-                    stats: None,
-                    attempts: std::mem::take(&mut attempts),
-                    backoff_us,
-                },
-            )
-        });
+    let mut outputs = Vec::with_capacity(items.len());
+    let mut reports = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        note_fault_plan_bypass(gpu, op, i);
+        let (out, report) = serve(item)?;
         outputs.push(out);
         reports.push(report);
     }
-    let (stream_us, naive_us) = pipeline_dispatched(gpu, &reports);
-    assert_stream_invariant(stream_us, naive_us);
+    // Backoff (simulated retry delay) is serial in both views.
+    let times = reports
+        .iter()
+        .filter_map(|r| r.stats.as_ref().map(|s| s.time_us));
+    let backoff: f64 = reports.iter().map(|r| r.backoff_us).sum();
+    let naive_us = times.clone().sum::<f64>() + backoff;
+    let stream_us = gpu_sim::pipelined_us(gpu.device().launch_overhead_us, times) + backoff;
+    assert!(
+        stream_us <= naive_us + 1e-9,
+        "model violation: stream time {stream_us} us exceeds naive sequential {naive_us} us \
+         (pipelining can only hide overhead)"
+    );
     Ok(DispatchedBatch {
         outputs,
         reports,
@@ -428,17 +159,34 @@ mod tests {
     use gpu_sim::{FaultKind, FaultPlan};
     use sparse::gen;
 
+    fn spmm_window(
+        gpu: &Gpu,
+        cache: &LaunchCache,
+        a: &CsrMatrix<f32>,
+        bs: &[Matrix<f32>],
+        cfg: SpmmConfig,
+    ) -> DispatchedBatch<Matrix<f32>> {
+        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
+        spmm_batched_dispatch(gpu, cache, a, &refs, cfg, &DispatchPolicy::default())
+            .expect("clean window")
+    }
+
     #[test]
     fn batched_spmm_matches_individual_launches() {
         let gpu = Gpu::v100();
         let a = gen::uniform(64, 48, 0.7, 321);
-        let b1 = Matrix::<f32>::random(48, 32, 322);
-        let b2 = Matrix::<f32>::random(48, 32, 323);
+        let bs = [
+            Matrix::<f32>::random(48, 32, 322),
+            Matrix::<f32>::random(48, 32, 323),
+        ];
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let result = spmm_batched(&gpu, &a, &[&b1, &b2], cfg);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &bs, cfg);
         assert_eq!(result.outputs.len(), 2);
-        assert!(result.outputs[0].max_abs_diff(&reference::spmm(&a, &b1)) < 1e-3);
-        assert!(result.outputs[1].max_abs_diff(&reference::spmm(&a, &b2)) < 1e-3);
+        for ((out, report), b) in result.outputs.iter().zip(&result.reports).zip(&bs) {
+            let (solo, stats) = crate::spmm(&gpu, &a, b, cfg);
+            assert_eq!(out.as_slice(), solo.as_slice());
+            assert_eq!(report.stats.as_ref(), Some(&stats));
+        }
         assert_eq!(
             result.cache_hits, 1,
             "second item replays the first's simulation"
@@ -450,20 +198,19 @@ mod tests {
         let gpu = Gpu::v100();
         let a = gen::uniform(128, 128, 0.8, 324);
         let bs: Vec<Matrix<f32>> = (0..8).map(|i| Matrix::random(128, 64, 325 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
-        let result = spmm_batched(&gpu, &a, &refs, SpmmConfig::heuristic::<f32>(64));
+        let cfg = SpmmConfig::heuristic::<f32>(64);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &bs, cfg);
         assert!(
             result.stream_us < result.naive_us,
             "pipelining must save time"
         );
-        assert!(result.overhead_saved_us() > 0.0);
-        assert_eq!(result.cache_hits, 7, "items 2..8 hit the batch cache");
+        assert_eq!(result.cache_hits, 7, "items 2..8 hit the window's cache");
     }
 
-    /// Regression (`overhead_saved_us` < 0): a single tiny kernel used to
-    /// pay the short-kernel gap penalty with no successor to pipeline, so a
-    /// one-item "batch" came out slower than its naive launch. The saved
-    /// overhead must be non-negative for every batch size.
+    /// Regression (saved overhead < 0): a single tiny kernel used to pay
+    /// the short-kernel gap penalty with no successor to pipeline, so a
+    /// one-item window came out slower than its naive launch. The pipelined
+    /// time must not exceed the naive sum for any window size.
     #[test]
     fn overhead_saved_is_never_negative() {
         let gpu = Gpu::v100();
@@ -472,40 +219,42 @@ mod tests {
         let bs: Vec<Matrix<f32>> = (0..8).map(|i| Matrix::random(4, 4, 332 + i)).collect();
         let cfg = SpmmConfig::heuristic::<f32>(4);
         for k in 1..=bs.len() {
-            let refs: Vec<&Matrix<f32>> = bs[..k].iter().collect();
-            let result = spmm_batched(&gpu, &a, &refs, cfg);
+            let result = spmm_window(&gpu, &LaunchCache::new(), &a, &bs[..k], cfg);
             assert!(
-                result.overhead_saved_us() >= 0.0,
-                "batch of {k}: saved {} us is negative (stream {} vs naive {})",
-                result.overhead_saved_us(),
+                result.stream_us <= result.naive_us,
+                "window of {k}: stream {} us exceeds naive {} us",
                 result.stream_us,
                 result.naive_us
             );
         }
     }
 
+    /// One mask serves every head: a window of pairs replays the first
+    /// pair's simulation, and a second window on the same cache replays all.
     #[test]
     fn batched_sddmm_shares_the_mask() {
         let gpu = Gpu::v100();
+        let cache = LaunchCache::new();
         let mask = gen::attention_mask(96, 16, 0.9, 326);
         let q1 = Matrix::<f32>::random(96, 32, 327);
         let k1 = Matrix::<f32>::random(96, 32, 328);
         let q2 = Matrix::<f32>::random(96, 32, 329);
         let k2 = Matrix::<f32>::random(96, 32, 330);
-        let result = sddmm_batched(
-            &gpu,
-            &[(&q1, &k1), (&q2, &k2)],
-            &mask,
-            SddmmConfig::heuristic::<f32>(32),
-        );
-        for (out, (q, k)) in result.outputs.iter().zip([(&q1, &k1), (&q2, &k2)]) {
+        let pairs = [(&q1, &k1), (&q2, &k2)];
+        let cfg = SddmmConfig::heuristic::<f32>(32);
+        let policy = DispatchPolicy::default();
+        let first = sddmm_batched_dispatch(&gpu, &cache, &pairs, &mask, cfg, &policy).unwrap();
+        for (out, (q, k)) in first.outputs.iter().zip(pairs) {
             let expect = reference::sddmm(q, k, &mask);
             assert!(out.same_pattern(&expect));
             for (a, b) in out.values().iter().zip(expect.values()) {
                 assert!((a - b).abs() < 1e-3);
             }
         }
-        assert_eq!(result.cache_hits, 1, "pair 2 replays pair 1's simulation");
+        assert_eq!(first.cache_hits, 1, "pair 2 replays pair 1's simulation");
+        let second = sddmm_batched_dispatch(&gpu, &cache, &pairs, &mask, cfg, &policy).unwrap();
+        assert_eq!(second.cache_hits, 2, "second window: every pair hits");
+        assert_eq!(first.stream_us, second.stream_us, "replay is bit-identical");
     }
 
     /// The cache replays *statistics*, never values: every item's functional
@@ -515,8 +264,8 @@ mod tests {
         let gpu = Gpu::v100();
         let a = gen::uniform(48, 40, 0.6, 340);
         let bs: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(40, 16, 341 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
-        let result = spmm_batched(&gpu, &a, &refs, SpmmConfig::heuristic::<f32>(16));
+        let cfg = SpmmConfig::heuristic::<f32>(16);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &bs, cfg);
         assert_eq!(result.cache_hits, 3);
         for (out, b) in result.outputs.iter().zip(&bs) {
             assert!(out.max_abs_diff(&reference::spmm(&a, b)) < 1e-3);
@@ -529,25 +278,22 @@ mod tests {
         let cache = LaunchCache::new();
         let a = gen::uniform(64, 48, 0.7, 350);
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 351 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let first = spmm_batched_cached(&gpu, &cache, &a, &refs, cfg);
+        let first = spmm_window(&gpu, &cache, &a, &bs, cfg);
         assert_eq!(first.cache_hits, 2, "first call: items 2..3 hit");
-        let second = spmm_batched_cached(&gpu, &cache, &a, &refs, cfg);
+        let second = spmm_window(&gpu, &cache, &a, &bs, cfg);
         assert_eq!(second.cache_hits, 3, "second call: every item hits");
         assert_eq!(first.stream_us, second.stream_us, "replay is bit-identical");
+        assert_eq!(first.outputs, second.outputs);
     }
 
     #[test]
     fn dispatched_batch_matches_reference_and_hits_cache() {
         let gpu = Gpu::v100();
-        let cache = LaunchCache::new();
         let a = gen::uniform(64, 48, 0.7, 370);
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 371 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let policy = DispatchPolicy::default();
-        let first = spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &policy).unwrap();
+        let first = spmm_window(&gpu, &LaunchCache::new(), &a, &bs, cfg);
         assert_eq!(first.outputs.len(), 3);
         assert_eq!(first.degraded(), 0, "clean run serves from Sputnik rung");
         assert!(first.reports.iter().all(|r| r.clean()));
@@ -556,14 +302,11 @@ mod tests {
         }
         assert_eq!(first.cache_hits, 2, "items 2..3 replay item 1");
         assert!(first.stream_us <= first.naive_us);
-        let second = spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &policy).unwrap();
-        assert_eq!(second.cache_hits, 3, "warm window: every item hits");
-        assert_eq!(first.stream_us, second.stream_us, "replay is bit-identical");
     }
 
-    /// The point of the dispatched window: a fault plan that would abort
-    /// [`spmm_batched`] degrades individual items instead, every item lands
-    /// on a rung, and the outputs stay correct.
+    /// The point of the dispatched window: a fault plan degrades individual
+    /// items instead of aborting the window, every item lands on a rung,
+    /// and the outputs stay correct.
     #[test]
     fn dispatched_batch_survives_faults_per_item() {
         let gpu = Gpu::v100()
@@ -571,11 +314,8 @@ mod tests {
         let cache = LaunchCache::new();
         let a = gen::uniform(64, 48, 0.7, 380);
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 381 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let result =
-            spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &DispatchPolicy::default())
-                .expect("faults degrade, never error");
+        let result = spmm_window(&gpu, &cache, &a, &bs, cfg);
         assert_eq!(result.outputs.len(), 3);
         assert!(result.degraded() >= 1, "the faulted item must degrade");
         let failed: usize = result.reports.iter().map(|r| r.attempts.len()).sum();
@@ -640,29 +380,98 @@ mod tests {
         }
     }
 
-    /// Satellite regression: batched launches under a fault plan bypass the
-    /// launch cache silently inside the launcher — the batch loops must
-    /// record a per-item trace instant so chaos runs can audit exactly which
-    /// items consumed fault-schedule indices.
+    /// Regression: mismatched dot-product lengths used to fail every GPU
+    /// rung and then panic inside the CPU reference rung. The shared
+    /// up-front validation returns a typed error before any launch.
+    #[test]
+    fn dispatched_sddmm_rejects_shape_mismatch() {
+        // A quiet plan counts the launches the ladder attempts.
+        let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
+        let cache = LaunchCache::new();
+        let mask = gen::attention_mask(64, 8, 0.9, 410);
+        let q = Matrix::<f32>::random(64, 32, 411);
+        let k = Matrix::<f32>::random(64, 16, 412);
+        let cfg = SddmmConfig::heuristic::<f32>(32);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sddmm_batched_dispatch(
+                &gpu,
+                &cache,
+                &[(&q, &k)],
+                &mask,
+                cfg,
+                &DispatchPolicy::default(),
+            )
+        }));
+        let Ok(result) = result else {
+            panic!("a shape mismatch must be a typed error, not a panic");
+        };
+        assert!(matches!(
+            result.err(),
+            Some(SputnikError::ShapeMismatch { .. })
+        ));
+        assert_eq!(
+            gpu.fault_plan().map(FaultPlan::launches_observed),
+            Some(0),
+            "rejected before any launch"
+        );
+    }
+
+    /// Regression: a NaN operand used to burn two attempts, land on the
+    /// CPU rung and come back `Ok` with a non-finite output. SDDMM dispatch
+    /// now rejects it up front with the same typed error as SpMM dispatch.
+    #[test]
+    fn dispatched_sddmm_rejects_non_finite_operand() {
+        let gpu = Gpu::v100();
+        let cache = LaunchCache::new();
+        let mask = gen::attention_mask(64, 8, 0.9, 413);
+        let mut q = Matrix::<f32>::random(64, 32, 414);
+        q.set(3, 5, f32::NAN);
+        let k = Matrix::<f32>::random(64, 32, 415);
+        let cfg = SddmmConfig::heuristic::<f32>(32);
+        let result = sddmm_batched_dispatch(
+            &gpu,
+            &cache,
+            &[(&q, &k)],
+            &mask,
+            cfg,
+            &DispatchPolicy::default(),
+        );
+        assert!(
+            matches!(
+                result.as_ref().err(),
+                Some(SputnikError::NonFiniteOperand { operand: "lhs", .. })
+            ),
+            "NaN lhs must be rejected, got served by {:?}",
+            result.ok().map(|r| r.reports[0].served_by)
+        );
+    }
+
+    /// Batched windows under a fault plan bypass the launch cache silently
+    /// inside the launcher — the window loop must record a per-item trace
+    /// instant so chaos runs can audit exactly which items consumed
+    /// fault-schedule indices.
     #[test]
     fn fault_plan_bypass_leaves_per_item_trace_instants() {
         use gpu_sim::trace;
         let a = gen::uniform(48, 40, 0.6, 400);
         let bs: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(40, 16, 401 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let mask = gen::attention_mask(48, 8, 0.9, 405);
         let q = Matrix::<f32>::random(48, 16, 406);
         let k = Matrix::<f32>::random(48, 16, 407);
         let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
+        let cache = LaunchCache::new();
 
         trace::enable();
-        spmm_batched(&gpu, &a, &refs, SpmmConfig::heuristic::<f32>(16));
-        sddmm_batched(
+        spmm_window(&gpu, &cache, &a, &bs, SpmmConfig::heuristic::<f32>(16));
+        sddmm_batched_dispatch(
             &gpu,
+            &cache,
             &[(&q, &k), (&q, &k)],
             &mask,
             SddmmConfig::heuristic::<f32>(16),
-        );
+            &DispatchPolicy::default(),
+        )
+        .expect("clean window");
         let events = trace::disable();
 
         // The recorder is process-global (other tests may append events
@@ -673,49 +482,36 @@ mod tests {
             .filter(|e| e.cat == "batched")
             .map(|e| e.name.as_str())
             .collect();
-        for i in 0..4 {
-            let want = format!("fault-plan bypass: spmm item {i} simulated in full");
-            assert!(
-                bypasses.iter().any(|n| **n == want),
-                "missing instant '{want}' in {bypasses:?}"
-            );
-        }
-        for i in 0..2 {
-            let want = format!("fault-plan bypass: sddmm item {i} simulated in full");
-            assert!(
-                bypasses.iter().any(|n| **n == want),
-                "missing instant '{want}' in {bypasses:?}"
-            );
+        for (op, items) in [("spmm-dispatch", 4), ("sddmm-dispatch", 2)] {
+            for i in 0..items {
+                let want = format!("fault-plan bypass: {op} item {i} simulated in full");
+                assert!(
+                    bypasses.iter().any(|n| **n == want),
+                    "missing instant '{want}' in {bypasses:?}"
+                );
+            }
         }
     }
 
-    /// Fault-plan GPUs must bypass the batch cache (fault schedules consume
-    /// per-launch indices): every launch simulates, and scheduled faults
-    /// still fire at their exact index.
+    /// Fault-plan GPUs must bypass the window's cache (fault schedules
+    /// consume per-launch indices): every launch simulates and consults the
+    /// schedule, and nothing is memoized.
     #[test]
     fn fault_plan_bypasses_batch_cache() {
         let a = gen::uniform(64, 48, 0.7, 360);
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 361 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let cfg = SpmmConfig::heuristic::<f32>(32);
 
         // An armed-but-quiet plan: the cache must still be bypassed.
         let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
-        let result = spmm_batched(&gpu, &a, &refs, cfg);
+        let cache = LaunchCache::new();
+        let result = spmm_window(&gpu, &cache, &a, &bs, cfg);
         assert_eq!(result.cache_hits, 0, "no cache service under a fault plan");
+        assert!(cache.is_empty(), "no inserts while a fault plan is armed");
         assert_eq!(
             gpu.fault_plan().map(FaultPlan::launches_observed),
             Some(3),
             "every batched launch consults the schedule"
         );
-
-        // A plan that kills the first launch: the batch must panic (the
-        // stream uses the panicking launch path), proving launches were not
-        // served from a cache that would skip the fault.
-        let gpu = Gpu::v100().with_fault_plan(FaultPlan::fail_first(1, FaultKind::EccError));
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            spmm_batched(&gpu, &a, &refs, cfg)
-        }));
-        assert!(killed.is_err(), "scheduled fault must abort the batch");
     }
 }

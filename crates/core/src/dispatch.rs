@@ -1,31 +1,40 @@
-//! Fault-tolerant SpMM dispatch: detection guards plus a
+//! Fault-tolerant SpMM and SDDMM dispatch: detection guards plus one
 //! retry-with-degradation ladder.
 //!
 //! Production serving cannot crash because one kernel launch hit a transient
-//! device fault. This module wraps the Sputnik SpMM in a dispatcher that
+//! device fault. [`spmm`] and [`sddmm`] wrap the Sputnik kernels in a
+//! dispatcher that
 //!
-//! 1. validates inputs once (shapes, finiteness) — violations here are
-//!    *deterministic* and returned immediately, no rung can fix them;
+//! 1. validates inputs once (shapes, layout, finiteness) — violations here
+//!    are *deterministic* and returned immediately, no rung can fix them;
 //! 2. launches the requested Sputnik configuration and checks the output
-//!    with two guards: a NaN/Inf scan and an ABFT-style checksum
-//!    (`sum(C) == sum_nz(a_val * rowsum(B)[a_col])`, accumulated in f64);
+//!    with the detection guards: a NaN/Inf scan and, for SpMM, an ABFT-style
+//!    checksum (`sum(C) == sum_nz(a_val * rowsum(B)[a_col])`, accumulated in
+//!    f64);
 //! 3. on failure, descends a degradation ladder with bounded retries:
 //!    [`Rung::Sputnik`] (retry the same config) → [`Rung::Heuristic`]
-//!    (the paper's [`SpmmConfig::heuristic`] selection) → [`Rung::Fallback`]
+//!    (the paper's heuristic selection) → for SpMM only, [`Rung::Fallback`]
 //!    (an internal row-per-block kernel whose name contains no `"sputnik"`,
 //!    so name-matched fault plans spare it) → [`Rung::CpuReference`]
 //!    (host execution, always available);
 //! 4. records which rung served the call, every failed attempt, and the
 //!    simulated backoff spent, in a [`DispatchReport`].
 //!
+//! Both entry points run the same ladder loop; only the rung list, the
+//! per-rung launch, the output guard and the host fallback differ. With a
+//! [`LaunchCache`], every GPU rung memoizes its statistics: a hit skips the
+//! cost simulation and replays only the functional output (see
+//! [`Gpu::run`]), so the guards still inspect a freshly computed output.
+//!
 //! The guards run on the host against the functional output and never touch
 //! the simulated [`LaunchStats`]: with an empty
 //! [`FaultPlan`](gpu_sim::FaultPlan), dispatch returns statistics identical
-//! to a direct [`crate::spmm()`] call.
+//! to a direct [`crate::spmm()`] / [`crate::sddmm()`] call.
 
-use crate::config::SpmmConfig;
+use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::{is_transient, SputnikError};
 use crate::reference;
+use crate::sddmm::{check_operand_shapes, mask_fingerprint, SddmmKernel};
 use crate::spmm::{
     operand_fingerprint, require_finite, SpmmKernel, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES,
     BUF_B, BUF_C,
@@ -37,6 +46,15 @@ use gpu_sim::{
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
+/// Simulated backoff before the r-th retry of a rung, in microseconds:
+/// `BACKOFF_BASE_US << r`, accumulated into the report (no host sleep).
+const BACKOFF_BASE_US: f64 = 50.0;
+
+/// Relative tolerance of the SpMM checksum guard. The guard compares an f64
+/// shadow sum against f32 kernel arithmetic, so this must absorb rounding
+/// differences — it targets gross corruption, not ULPs.
+const CHECKSUM_REL_TOL: f64 = 1e-3;
+
 /// One rung of the degradation ladder, from fastest to most conservative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rung {
@@ -44,7 +62,8 @@ pub enum Rung {
     Sputnik,
     /// The paper's heuristic configuration for this problem shape.
     Heuristic,
-    /// The internal row-per-block fallback kernel (cusparse-style).
+    /// The internal row-per-block fallback kernel (cusparse-style, SpMM
+    /// only).
     Fallback,
     /// Host execution of the golden reference.
     CpuReference,
@@ -61,34 +80,19 @@ impl std::fmt::Display for Rung {
     }
 }
 
-/// Tuning knobs for the dispatcher.
+/// Tuning knob for the dispatcher.
 #[derive(Debug, Clone)]
 pub struct DispatchPolicy {
     /// Attempts per GPU rung (first try + retries). Retries are only spent
     /// on transient errors; deterministic failures skip straight to the
     /// next rung.
     pub attempts_per_rung: u32,
-    /// Simulated backoff before the r-th retry of a rung, in microseconds:
-    /// `backoff_base_us << r`, accumulated into the report (no host sleep).
-    pub backoff_base_us: f64,
-    /// Scan functional outputs for NaN/Inf.
-    pub check_finite: bool,
-    /// Verify the ABFT row-sum checksum on functional outputs.
-    pub check_checksum: bool,
-    /// Relative tolerance for the checksum guard. The guard compares an
-    /// f64 shadow sum against f32 kernel arithmetic, so this must absorb
-    /// rounding differences — it targets gross corruption, not ULPs.
-    pub checksum_rel_tol: f64,
 }
 
 impl Default for DispatchPolicy {
     fn default() -> Self {
         Self {
             attempts_per_rung: 2,
-            backoff_base_us: 50.0,
-            check_finite: true,
-            check_checksum: true,
-            checksum_rel_tol: 1e-3,
         }
     }
 }
@@ -120,81 +124,15 @@ impl DispatchReport {
     }
 }
 
-/// Aggregate rung usage across many dispatched calls.
-///
-/// [`DegradationStats::record`] also mirrors each call into the process-wide
-/// [`gpu_sim::metrics`] registry as monotonic per-rung counters (see
-/// [`DegradationStats::RUNG_COUNTERS`]), so serving sweeps and plain kernel
-/// sweeps share one degradation dashboard: any snapshot of the global
-/// registry shows how many calls each rung served, regardless of which
-/// subsystem dispatched them.
-#[derive(Debug, Clone, Default)]
-pub struct DegradationStats {
-    pub calls: u64,
-    pub served: [u64; 4],
-    pub failed_attempts: u64,
-    pub backoff_us: f64,
-}
-
-impl DegradationStats {
-    /// Global-metrics counter name for each rung, indexed by `Rung as usize`.
-    pub const RUNG_COUNTERS: [&'static str; 4] = [
-        "dispatch_rung_sputnik",
-        "dispatch_rung_heuristic",
-        "dispatch_rung_fallback",
-        "dispatch_rung_cpu_reference",
-    ];
-
-    pub fn record(&mut self, report: &DispatchReport) {
-        self.calls += 1;
-        self.served[report.served_by as usize] += 1;
-        self.failed_attempts += report.attempts.len() as u64;
-        self.backoff_us += report.backoff_us;
-        gpu_sim::metrics::global().incr(Self::RUNG_COUNTERS[report.served_by as usize], 1);
-    }
-
-    /// Fraction of calls served by the requested Sputnik configuration.
-    pub fn clean_fraction(&self) -> f64 {
-        if self.calls == 0 {
-            return 1.0;
-        }
-        self.served[Rung::Sputnik as usize] as f64 / self.calls as f64
-    }
-}
-
 /// Fault-tolerant SpMM: `A (sparse) * B (dense)` through the degradation
-/// ladder. Returns the output and a report of which rung served.
+/// ladder Sputnik → heuristic → fallback kernel → CPU. Returns the output
+/// and a report of which rung served. With `cache`, every GPU rung memoizes
+/// its statistics under the operands' fingerprint.
 ///
 /// Errors are returned only for deterministic input violations (shape
-/// mismatch, non-finite operands): anything transient degrades to a slower
-/// rung, and the CPU reference rung cannot fail.
+/// mismatch, column-major `b`, non-finite operands): anything transient
+/// degrades to a slower rung, and the CPU reference rung cannot fail.
 pub fn spmm<T: Scalar>(
-    gpu: &Gpu,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-    policy: &DispatchPolicy,
-) -> Result<(Matrix<T>, DispatchReport), SputnikError> {
-    spmm_with_cache(gpu, None, a, b, cfg, policy)
-}
-
-/// [`spmm`] with every GPU rung consulting a cross-launch [`LaunchCache`].
-/// A hit skips the cost simulation and replays only the functional output
-/// (see [`Gpu::run`]), so the detection guards still inspect a
-/// freshly computed `C`; the returned statistics are the memoized ones,
-/// bit-identical to a cold launch.
-pub fn spmm_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-    policy: &DispatchPolicy,
-) -> Result<(Matrix<T>, DispatchReport), SputnikError> {
-    spmm_with_cache(gpu, Some(cache), a, b, cfg, policy)
-}
-
-fn spmm_with_cache<T: Scalar>(
     gpu: &Gpu,
     cache: Option<&LaunchCache>,
     a: &CsrMatrix<T>,
@@ -209,72 +147,168 @@ fn spmm_with_cache<T: Scalar>(
             context: "dispatch spmm inner dimension",
         });
     }
-    if b.layout() != sparse::Layout::RowMajor {
-        return Err(SputnikError::IllegalConfig {
-            reason: "Sputnik uses row-major dense operands".into(),
-        });
-    }
+    require_row_major(b)?;
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
 
     // Shared by every checksum evaluation: per-row sums of B, in f64.
     let b_rowsums = checksum_b_rowsums(b);
-    let mut attempts = Vec::new();
-    let mut backoff_us = 0.0f64;
-
     // GPU rungs: requested config, heuristic config, internal fallback.
     let heuristic = SpmmConfig::heuristic::<T>(b.cols());
-    let gpu_rungs: Vec<(Rung, Option<SpmmConfig>)> = {
-        let mut r = vec![(Rung::Sputnik, Some(cfg))];
-        if heuristic != cfg {
-            r.push((Rung::Heuristic, Some(heuristic)));
-        }
-        r.push((Rung::Fallback, None));
-        r
+    let mut rungs = vec![(Rung::Sputnik, Some(cfg))];
+    if heuristic != cfg {
+        rungs.push((Rung::Heuristic, Some(heuristic)));
+    }
+    rungs.push((Rung::Fallback, None));
+    let req = Launch {
+        cache: cache.map(|c| (c, operand_fingerprint(a, b.cols()))),
+        ..Launch::FUNCTIONAL
     };
+    let launch = |rung_cfg: Option<SpmmConfig>| -> Result<_, SputnikError> {
+        let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
+        let stats = match rung_cfg {
+            Some(c) => {
+                let swizzle = RowSwizzle::new(a, c.row_swizzle);
+                let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, c)?;
+                gpu.run(&req, &kernel)?.stats
+            }
+            None => {
+                gpu.run(&req, &FallbackSpmmKernel::new(a, b, &mut out))?
+                    .stats
+            }
+        };
+        Ok((out, stats))
+    };
+    let guard = |out: &Matrix<T>, rung_cfg: Option<SpmmConfig>, kernel: &str| {
+        require_finite_output(out.as_slice(), kernel)?;
+        // The checksum is a linear identity: a fused ReLU epilogue breaks it.
+        if rung_cfg.is_some_and(|c| c.fused_bias_relu) {
+            return Ok(());
+        }
+        check_checksum(out, a, &b_rowsums, kernel)
+    };
+    // Host execution: identical accumulation order to the fallback kernel,
+    // so results remain bit-stable across rungs for f32.
+    let cpu = || {
+        let c32 = reference::spmm(a, &b.to_f32());
+        let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(c32.as_slice()) {
+            *o = T::from_f32(v);
+        }
+        out
+    };
+    Ok(ladder("", &rungs, policy, launch, guard, cpu))
+}
 
-    for (rung, rung_cfg) in gpu_rungs {
+/// Fault-tolerant SDDMM: `(lhs * rhs^T) ⊙ I[mask]` through the degradation
+/// ladder Sputnik → heuristic → CPU. There is no separate fallback SDDMM
+/// kernel, so the ladder is one rung shorter than [`spmm`]'s, and the only
+/// output guard is the NaN/Inf scan (the SpMM checksum has no cheap SDDMM
+/// analogue — recomputing the masked dot products *is* the kernel). With
+/// `cache`, every GPU rung memoizes its statistics under the mask topology
+/// and dot-product length.
+///
+/// Errors are returned only for deterministic input violations (shape
+/// mismatch, column-major operands, non-finite operands).
+pub fn sddmm<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    lhs: &Matrix<T>,
+    rhs: &Matrix<T>,
+    mask: &CsrMatrix<T>,
+    cfg: SddmmConfig,
+    policy: &DispatchPolicy,
+) -> Result<(CsrMatrix<T>, DispatchReport), SputnikError> {
+    check_operand_shapes(lhs, rhs, mask)?;
+    require_row_major(lhs)?;
+    require_row_major(rhs)?;
+    require_finite("lhs", lhs.as_slice())?;
+    require_finite("rhs", rhs.as_slice())?;
+    require_finite("mask", mask.values())?;
+
+    let heuristic = SddmmConfig::heuristic::<T>(lhs.cols());
+    let mut rungs = vec![(Rung::Sputnik, cfg)];
+    if heuristic != cfg {
+        rungs.push((Rung::Heuristic, heuristic));
+    }
+    let req = Launch {
+        cache: cache.map(|c| (c, mask_fingerprint(mask, lhs.cols()))),
+        ..Launch::FUNCTIONAL
+    };
+    let launch = |c: SddmmConfig| -> Result<_, SputnikError> {
+        let swizzle = RowSwizzle::new(mask, c.row_swizzle);
+        let mut values = vec![T::zero(); mask.nnz()];
+        let stats = {
+            let kernel = SddmmKernel::try_new(lhs, rhs, mask, &mut values, &swizzle, c)?;
+            gpu.run(&req, &kernel)?.stats
+        };
+        Ok((mask.with_values(values), stats))
+    };
+    let guard = |out: &CsrMatrix<T>, _: SddmmConfig, kernel: &str| {
+        require_finite_output(out.values(), kernel)
+    };
+    let cpu = || {
+        let out32 = reference::sddmm(&lhs.to_f32(), &rhs.to_f32(), mask);
+        mask.with_values(out32.values().iter().map(|&v| T::from_f32(v)).collect())
+    };
+    Ok(ladder("sddmm ", &rungs, policy, launch, guard, cpu))
+}
+
+/// The retry → degrade → CPU ladder behind [`spmm`] and [`sddmm`].
+///
+/// Each rung `(rung, cfg)` gets up to `policy.attempts_per_rung` attempts
+/// of `launch(cfg)`, each followed by `guard(output, cfg, kernel name)`.
+/// Retries back off (simulated) and are spent only on transient errors; a
+/// deterministic failure abandons the rung at once. When every GPU rung has
+/// failed, `cpu()` serves. Every failed attempt and every degraded call
+/// leaves a metrics count and a trace instant whose text starts with
+/// `trace_prefix`.
+fn ladder<C: Copy, O>(
+    trace_prefix: &str,
+    rungs: &[(Rung, C)],
+    policy: &DispatchPolicy,
+    launch: impl Fn(C) -> Result<(O, LaunchStats), SputnikError>,
+    guard: impl Fn(&O, C, &str) -> Result<(), SputnikError>,
+    cpu: impl FnOnce() -> O,
+) -> (O, DispatchReport) {
+    let mut attempts = Vec::new();
+    let mut backoff_us = 0.0f64;
+    for &(rung, cfg) in rungs {
         for attempt in 0..policy.attempts_per_rung {
             if attempt > 0 {
-                backoff_us += policy.backoff_base_us * f64::from(1u32 << (attempt - 1));
+                backoff_us += BACKOFF_BASE_US * f64::from(1u32 << (attempt - 1));
             }
-            let result = match rung_cfg {
-                Some(c) => launch_sputnik(gpu, cache, a, b, c),
-                None => launch_fallback(gpu, cache, a, b),
-            };
-            match result.and_then(|(out, stats)| {
-                check_output(&out, a, &b_rowsums, rung_cfg, policy, &stats.kernel)?;
+            match launch(cfg).and_then(|(out, stats)| {
+                guard(&out, cfg, &stats.kernel)?;
                 Ok((out, stats))
             }) {
                 Ok((out, stats)) => {
                     if rung != Rung::Sputnik {
-                        gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-                        if gpu_sim::trace::enabled() {
-                            gpu_sim::trace::instant(
-                                "dispatch",
-                                "dispatch",
-                                &format!("degraded: served by {rung} ({})", stats.kernel),
-                            );
-                        }
+                        note_degraded(|| {
+                            format!(
+                                "degraded: {trace_prefix}served by {rung} ({})",
+                                stats.kernel
+                            )
+                        });
                     }
                     let report = DispatchReport {
                         served_by: rung,
                         stats: Some(stats),
-                        attempts: std::mem::take(&mut attempts),
+                        attempts,
                         backoff_us,
                     };
-                    return Ok((out, report));
+                    return (out, report);
                 }
                 Err(err) => {
-                    let transient = is_transient(&err);
                     gpu_sim::metrics::global().incr("dispatch_failed_attempts", 1);
                     if gpu_sim::trace::enabled() {
                         gpu_sim::trace::instant(
                             "dispatch",
                             "dispatch",
-                            &format!("rung {rung} attempt {attempt} failed: {err}"),
+                            &format!("{trace_prefix}rung {rung} attempt {attempt} failed: {err}"),
                         );
                     }
+                    let transient = is_transient(&err);
                     attempts.push(Attempt { rung, error: err });
                     if !transient {
                         // Deterministic failure: retrying the same rung
@@ -285,75 +319,44 @@ fn spmm_with_cache<T: Scalar>(
             }
         }
     }
-
-    // Last rung: host execution. Identical accumulation order to the
-    // fallback kernel, so results remain bit-stable across rungs for f32.
-    gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-    if gpu_sim::trace::enabled() {
-        gpu_sim::trace::instant("dispatch", "dispatch", "degraded: served by cpu-reference");
-    }
-    let out = reference_as_t::<T>(a, b);
+    note_degraded(|| format!("degraded: {trace_prefix}served by {}", Rung::CpuReference));
     let report = DispatchReport {
         served_by: Rung::CpuReference,
         stats: None,
         attempts,
         backoff_us,
     };
-    Ok((out, report))
+    (cpu(), report)
 }
 
-/// One GPU rung's launch request: audited (a `Refuted` verdict is a
-/// deterministic failure, so the ladder abandons the rung at once) and,
-/// when the ladder has a cache, memoized under the operands' fingerprint.
-fn rung_request<'c, T: Scalar>(
-    cache: Option<&'c LaunchCache>,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-) -> Launch<'c> {
-    Launch {
-        cache: cache.map(|c| (c, operand_fingerprint(a, b.cols()))),
-        ..Launch::FUNCTIONAL
+/// Count a call served below the requested rung, and mark it in the trace.
+fn note_degraded(text: impl FnOnce() -> String) {
+    gpu_sim::metrics::global().incr("dispatch_degraded", 1);
+    if gpu_sim::trace::enabled() {
+        gpu_sim::trace::instant("dispatch", "dispatch", &text());
     }
 }
 
-fn launch_sputnik<T: Scalar>(
-    gpu: &Gpu,
-    cache: Option<&LaunchCache>,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
-    let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let launched = {
-        let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        gpu.run(&rung_request(cache, a, b), &kernel)?
-    };
-    Ok((out, launched.stats))
-}
-
-fn launch_fallback<T: Scalar>(
-    gpu: &Gpu,
-    cache: Option<&LaunchCache>,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let launched = {
-        let kernel = FallbackSpmmKernel::new(a, b, &mut out);
-        gpu.run(&rung_request(cache, a, b), &kernel)?
-    };
-    Ok((out, launched.stats))
-}
-
-/// CPU rung: the golden reference, converted to the storage type.
-fn reference_as_t<T: Scalar>(a: &CsrMatrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let c32 = reference::spmm(a, &b.to_f32());
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    for (o, &v) in out.as_mut_slice().iter_mut().zip(c32.as_slice()) {
-        *o = T::from_f32(v);
+/// Sputnik kernels read dense operands row by row.
+fn require_row_major<T: Scalar>(m: &Matrix<T>) -> Result<(), SputnikError> {
+    if m.layout() != sparse::Layout::RowMajor {
+        return Err(SputnikError::IllegalConfig {
+            reason: "Sputnik uses row-major dense operands".into(),
+        });
     }
-    out
+    Ok(())
+}
+
+/// Output guard shared by both ladders: a NaN/Inf anywhere in the output
+/// marks the launch corrupt.
+fn require_finite_output<T: Scalar>(values: &[T], kernel: &str) -> Result<(), SputnikError> {
+    if values.iter().all(|v| v.to_f32().is_finite()) {
+        return Ok(());
+    }
+    Err(SputnikError::CorruptOutput {
+        kernel: kernel.to_string(),
+        reason: "non-finite value in output".into(),
+    })
 }
 
 /// Per-row sums of B in f64, the checksum's precomputed ingredient.
@@ -370,55 +373,35 @@ fn checksum_b_rowsums<T: Scalar>(b: &Matrix<T>) -> Vec<f64> {
         .collect()
 }
 
-/// Detection guards: NaN/Inf scan plus the ABFT row-sum checksum
-/// `sum(C) == sum over nonzeros of a_val * rowsum(B)[a_col]`.
-fn check_output<T: Scalar>(
+/// The ABFT row-sum checksum guard of the SpMM ladder:
+/// `sum(C) == sum over nonzeros of a_val * rowsum(B)[a_col]`, within a
+/// scale-aware tolerance.
+fn check_checksum<T: Scalar>(
     out: &Matrix<T>,
     a: &CsrMatrix<T>,
     b_rowsums: &[f64],
-    cfg: Option<SpmmConfig>,
-    policy: &DispatchPolicy,
     kernel: &str,
 ) -> Result<(), SputnikError> {
-    if policy.check_finite {
-        for v in out.as_slice() {
-            if !v.to_f32().is_finite() {
-                return Err(SputnikError::CorruptOutput {
-                    kernel: kernel.to_string(),
-                    reason: "non-finite value in output".into(),
-                });
-            }
-        }
-    }
-    // The checksum is a linear identity: a fused ReLU epilogue breaks it.
-    let nonlinear = cfg.is_some_and(|c| c.fused_bias_relu);
-    if policy.check_checksum && !nonlinear {
-        let expected: f64 = a
-            .col_indices()
+    let terms = || {
+        a.col_indices()
             .iter()
             .zip(a.values())
             .map(|(&col, v)| f64::from(v.to_f32()) * b_rowsums[col as usize])
-            .sum();
-        let actual: f64 = out.as_slice().iter().map(|v| f64::from(v.to_f32())).sum();
-        // Scale-aware tolerance: rounding grows with the mass being summed.
-        let scale: f64 = a
-            .col_indices()
-            .iter()
-            .zip(a.values())
-            .map(|(&col, v)| (f64::from(v.to_f32()) * b_rowsums[col as usize]).abs())
-            .sum::<f64>()
-            .max(1.0);
-        // `within` is false for a NaN sum (NaN fails every comparison), so
-        // corruption is flagged rather than slipping through.
-        let within = (actual - expected).abs() <= policy.checksum_rel_tol * scale;
-        if !within {
-            return Err(SputnikError::CorruptOutput {
-                kernel: kernel.to_string(),
-                reason: format!("checksum mismatch: expected {expected:.6e}, found {actual:.6e}"),
-            });
-        }
+    };
+    let expected: f64 = terms().sum();
+    let actual: f64 = out.as_slice().iter().map(|v| f64::from(v.to_f32())).sum();
+    // Scale-aware tolerance: rounding grows with the mass being summed.
+    let scale: f64 = terms().map(f64::abs).sum::<f64>().max(1.0);
+    // `within` is false for a NaN sum (NaN fails every comparison), so
+    // corruption is flagged rather than slipping through.
+    let within = (actual - expected).abs() <= CHECKSUM_REL_TOL * scale;
+    if within {
+        return Ok(());
     }
-    Ok(())
+    Err(SputnikError::CorruptOutput {
+        kernel: kernel.to_string(),
+        reason: format!("checksum mismatch: expected {expected:.6e}, found {actual:.6e}"),
+    })
 }
 
 /// The internal fallback kernel: one thread block per output row, 32 lanes
@@ -680,6 +663,7 @@ mod tests {
         let gpu = Gpu::v100();
         let (out, report) = spmm(
             &gpu,
+            None,
             &a,
             &b,
             SpmmConfig::default(),
@@ -701,6 +685,7 @@ mod tests {
         let gpu = Gpu::v100();
         let err = spmm(
             &gpu,
+            None,
             &a,
             &b,
             SpmmConfig::default(),
@@ -718,6 +703,7 @@ mod tests {
         let gpu = Gpu::v100();
         let err = spmm(
             &gpu,
+            None,
             &a,
             &b,
             SpmmConfig::default(),
@@ -741,7 +727,7 @@ mod tests {
             vector_width: 3,
             ..SpmmConfig::default()
         };
-        let (out, report) = spmm(&gpu, &a, &b, bad, &DispatchPolicy::default()).unwrap();
+        let (out, report) = spmm(&gpu, None, &a, &b, bad, &DispatchPolicy::default()).unwrap();
         assert_eq!(report.served_by, Rung::Heuristic);
         // Deterministic failure: exactly one attempt burned on the bad rung.
         assert_eq!(report.attempts.len(), 1);
@@ -754,39 +740,16 @@ mod tests {
     }
 
     #[test]
-    fn degradation_stats_aggregate() {
-        let mut stats = DegradationStats::default();
-        let a = gen::uniform(16, 32, 0.6, 31);
-        let b = Matrix::<f32>::random(32, 16, 32);
-        let gpu = Gpu::v100();
-        for _ in 0..3 {
-            let (_, report) = spmm(
-                &gpu,
-                &a,
-                &b,
-                SpmmConfig::default(),
-                &DispatchPolicy::default(),
-            )
-            .unwrap();
-            stats.record(&report);
-        }
-        assert_eq!(stats.calls, 3);
-        assert_eq!(stats.served[Rung::Sputnik as usize], 3);
-        assert_eq!(stats.clean_fraction(), 1.0);
-    }
-
-    #[test]
     fn cached_dispatch_replays_outputs_and_stats() {
         let a = gen::uniform(32, 64, 0.8, 61);
         let b = Matrix::<f32>::random(64, 32, 62);
         let gpu = Gpu::v100();
         let cache = LaunchCache::new();
         let policy = DispatchPolicy::default();
-        let (cold_out, cold) =
-            spmm_cached(&gpu, &cache, &a, &b, SpmmConfig::default(), &policy).unwrap();
+        let cfg = SpmmConfig::default();
+        let (cold_out, cold) = spmm(&gpu, Some(&cache), &a, &b, cfg, &policy).unwrap();
         assert_eq!(cache.hits(), 0);
-        let (warm_out, warm) =
-            spmm_cached(&gpu, &cache, &a, &b, SpmmConfig::default(), &policy).unwrap();
+        let (warm_out, warm) = spmm(&gpu, Some(&cache), &a, &b, cfg, &policy).unwrap();
         assert!(cache.hits() >= 1, "second dispatch must hit the cache");
         assert!(warm.clean());
         // The replayed launch recomputes real outputs and returns the
@@ -794,9 +757,42 @@ mod tests {
         assert_eq!(cold_out.as_slice(), warm_out.as_slice());
         assert_eq!(cold.stats, warm.stats);
         // The guards saw a real output: corrupt inputs would still fail.
-        let (plain_out, plain) = spmm(&gpu, &a, &b, SpmmConfig::default(), &policy).unwrap();
+        let (plain_out, plain) = spmm(&gpu, None, &a, &b, cfg, &policy).unwrap();
         assert_eq!(plain_out.as_slice(), warm_out.as_slice());
         assert_eq!(plain.stats, warm.stats);
+    }
+
+    /// The checksum guard alone (no finite scan) also catches poisoning —
+    /// including the NaN-propagation case, which must not slip through the
+    /// tolerance comparison.
+    #[test]
+    fn checksum_guard_catches_corruption_without_finite_scan() {
+        let a = gen::uniform(48, 96, 0.7, 500);
+        let b = Matrix::<f32>::random(96, 32, 501);
+        let rowsums = checksum_b_rowsums(&b);
+        let mut out = reference::spmm(&a, &b);
+        check_checksum(&out, &a, &rowsums, "probe").expect("a correct output passes");
+        out.set(5, 7, f32::NAN);
+        let err = check_checksum(&out, &a, &rowsums, "probe").expect_err("a NaN sum must fail");
+        assert!(
+            matches!(&err, SputnikError::CorruptOutput { reason, .. } if reason.contains("checksum mismatch")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn clean_sddmm_dispatch_matches_direct_launch() {
+        let mask = gen::attention_mask(64, 8, 0.9, 65);
+        let lhs = Matrix::<f32>::random(64, 32, 66);
+        let rhs = Matrix::<f32>::random(64, 32, 67);
+        let gpu = Gpu::v100();
+        let cfg = SddmmConfig::heuristic::<f32>(32);
+        let policy = DispatchPolicy::default();
+        let (out, report) = sddmm(&gpu, None, &lhs, &rhs, &mask, cfg, &policy).unwrap();
+        assert!(report.clean());
+        let (direct, stats) = crate::try_sddmm(&gpu, &lhs, &rhs, &mask, cfg).unwrap();
+        assert_eq!(out.values(), direct.values());
+        assert_eq!(report.stats, Some(stats));
     }
 
     #[test]

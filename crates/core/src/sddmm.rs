@@ -67,20 +67,7 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
         swizzle: &'a RowSwizzle,
         cfg: SddmmConfig,
     ) -> Result<Self, SputnikError> {
-        if lhs.cols() != rhs.cols() {
-            return Err(SputnikError::ShapeMismatch {
-                expected: format!("RHS with {} columns (RHS is transposed)", lhs.cols()),
-                found: format!("{}x{}", rhs.rows(), rhs.cols()),
-                context: "sddmm dot-product length",
-            });
-        }
-        if mask.rows() != lhs.rows() || mask.cols() != rhs.rows() {
-            return Err(SputnikError::ShapeMismatch {
-                expected: format!("{}x{} mask", lhs.rows(), rhs.rows()),
-                found: format!("{}x{}", mask.rows(), mask.cols()),
-                context: "sddmm mask",
-            });
-        }
+        check_operand_shapes(lhs, rhs, mask)?;
         if out_values.len() != mask.nnz() {
             return Err(SputnikError::ShapeMismatch {
                 expected: format!("{} output values (one per mask nonzero)", mask.nnz()),
@@ -489,6 +476,30 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
             }
         }
     }
+}
+
+/// The operand shapes SDDMM requires: `lhs` and `rhs` share the dot-product
+/// length, and the mask is `lhs.rows() x rhs.rows()`.
+pub(crate) fn check_operand_shapes<T: Scalar>(
+    lhs: &Matrix<T>,
+    rhs: &Matrix<T>,
+    mask: &CsrMatrix<T>,
+) -> Result<(), SputnikError> {
+    if lhs.cols() != rhs.cols() {
+        return Err(SputnikError::ShapeMismatch {
+            expected: format!("RHS with {} columns (RHS is transposed)", lhs.cols()),
+            found: format!("{}x{}", rhs.rows(), rhs.cols()),
+            context: "sddmm dot-product length",
+        });
+    }
+    if mask.rows() != lhs.rows() || mask.cols() != rhs.rows() {
+        return Err(SputnikError::ShapeMismatch {
+            expected: format!("{}x{} mask", lhs.rows(), rhs.rows()),
+            found: format!("{}x{}", mask.rows(), mask.cols()),
+            context: "sddmm mask",
+        });
+    }
+    Ok(())
 }
 
 /// Run SDDMM on the simulated GPU: returns the sparse output (the mask's

@@ -61,12 +61,18 @@ pub(crate) fn require_finite<T: Scalar>(
     operand: &'static str,
     values: &[T],
 ) -> Result<(), SputnikError> {
-    for (index, v) in values.iter().enumerate() {
-        if !v.to_f32().is_finite() {
-            return Err(SputnikError::NonFiniteOperand { operand, index });
-        }
+    // Every dispatched item scans its dense operands, so the common
+    // all-finite case folds each chunk without an early exit (which lets it
+    // vectorize); only a failing scan looks for the first offending index.
+    let finite = |v: &T| v.to_f32().is_finite();
+    if values
+        .chunks(1024)
+        .all(|chunk| chunk.iter().fold(true, |ok, v| ok & finite(v)))
+    {
+        return Ok(());
     }
-    Ok(())
+    let index = values.iter().position(|v| !finite(v)).unwrap_or_default();
+    Err(SputnikError::NonFiniteOperand { operand, index })
 }
 
 /// Buffer identities for the cache model.

@@ -326,10 +326,15 @@ impl Fleet {
                         }
                         StreamOp::Launch { time_us } => {
                             let overhead = self.gpus[d].device().launch_overhead_us;
-                            // Pipelined submission, mirroring Stream: the
-                            // first launch pays its full overhead; later
-                            // ones hide it behind executing work, floored
-                            // at the same driver-gap cost Stream charges.
+                            // Pipelined submission, like `pipelined_us`:
+                            // the first launch pays its full overhead;
+                            // later ones hide it behind executing work.
+                            // Unlike `pipelined_us`, the driver-gap floor
+                            // lands on the successor launch (a short
+                            // launch is floored when it follows another),
+                            // not on the predecessor, so a short first
+                            // launch is never floored and a short last
+                            // launch is.
                             let exec = if self.launches_resolved[d] == 0 {
                                 *time_us
                             } else {

@@ -1039,6 +1039,34 @@ impl Hasher for SignatureHasher {
     }
 }
 
+/// Pipelined time of back-to-back launches on one stream whose standalone
+/// times, launch overhead included, are `times` (microseconds, in launch
+/// order): execution plus ONE exposed launch overhead, because every later launch's setup
+/// hides behind the previous kernel — except when that kernel is shorter
+/// than the overhead itself, which leaves a driver gap of
+/// `0.3 * overhead_us` the next launch cannot hide.
+///
+/// Invariant: never exceeds the naive sum of `times` — pipelining can only
+/// *hide* overhead. The gap floor applies only to launches with a
+/// successor (it models the next launch's exposed setup); the final launch
+/// has none, so a single launch costs exactly its standalone time.
+pub fn pipelined_us(overhead_us: f64, times: impl IntoIterator<Item = f64>) -> f64 {
+    let mut times = times.into_iter().peekable();
+    if times.peek().is_none() {
+        return 0.0;
+    }
+    let mut total = overhead_us;
+    while let Some(t) = times.next() {
+        let exec = t - overhead_us;
+        total += if times.peek().is_some() {
+            exec.max(overhead_us * 0.3)
+        } else {
+            exec
+        };
+    }
+    total
+}
+
 /// A sequence of dependent kernel launches (a CUDA stream): kernels run
 /// back to back, but consecutive launches overlap the host-side launch
 /// overhead with the previous kernel's execution — the reason back-to-back
@@ -1046,9 +1074,6 @@ impl Hasher for SignatureHasher {
 pub struct Stream<'g> {
     gpu: &'g Gpu,
     launches: Vec<LaunchStats>,
-    /// Optional launch cache consulted by [`Stream::launch_cached`].
-    cache: Option<&'g LaunchCache>,
-    cache_hits: u64,
 }
 
 impl<'g> Stream<'g> {
@@ -1056,39 +1081,12 @@ impl<'g> Stream<'g> {
         Self {
             gpu,
             launches: Vec::new(),
-            cache: None,
-            cache_hits: 0,
-        }
-    }
-
-    /// A stream whose [`Stream::launch_cached`] launches are memoized in
-    /// `cache`. The cache obeys the usual bypass rule: a [`Gpu`] carrying a
-    /// fault plan simulates every launch in full.
-    pub fn with_cache(gpu: &'g Gpu, cache: &'g LaunchCache) -> Self {
-        Self {
-            gpu,
-            launches: Vec::new(),
-            cache: Some(cache),
-            cache_hits: 0,
         }
     }
 
     /// Launch functionally on the stream; returns this kernel's stats.
     pub fn launch(&mut self, kernel: &dyn Kernel) -> LaunchStats {
         self.push(Launch::FUNCTIONAL, kernel)
-    }
-
-    /// Launch functionally on the stream through the attached cache (see
-    /// [`Launch::cache`] for what `fingerprint` must cover). On a hit the
-    /// kernel still executes for its outputs but the statistics are
-    /// replayed instead of re-simulated. Falls back to an uncached launch
-    /// when no cache is attached.
-    pub fn launch_cached(&mut self, fingerprint: u64, kernel: &dyn Kernel) -> LaunchStats {
-        let req = Launch {
-            cache: self.cache.map(|cache| (cache, fingerprint)),
-            ..Launch::FUNCTIONAL
-        };
-        self.push(req, kernel)
     }
 
     /// Profile on the stream (cost only).
@@ -1100,7 +1098,6 @@ impl<'g> Stream<'g> {
     /// launch errors, like [`Gpu::launch`].
     fn push(&mut self, req: Launch<'_>, kernel: &dyn Kernel) -> LaunchStats {
         let launched = self.gpu.run(&req, kernel).unwrap_or_else(|e| panic!("{e}"));
-        self.cache_hits += u64::from(launched.hit);
         self.launches.push(launched.stats.clone());
         launched.stats
     }
@@ -1109,36 +1106,12 @@ impl<'g> Stream<'g> {
         &self.launches
     }
 
-    /// Launches served from the attached cache so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Total simulated stream time: per-kernel execution plus ONE launch
-    /// overhead (subsequent launches are pipelined behind execution, except
-    /// when a kernel is shorter than the overhead itself).
-    ///
-    /// Invariant: never exceeds the naive sum of the individual launch
-    /// times — pipelining can only *hide* overhead. The gap penalty for a
-    /// too-short kernel applies only to launches with a successor (it models
-    /// the next launch's exposed setup); the final launch has none.
+    /// Total simulated stream time: [`pipelined_us`] over the launches.
     pub fn total_us(&self) -> f64 {
-        if self.launches.is_empty() {
-            return 0.0;
-        }
-        let overhead = self.gpu.device().launch_overhead_us;
-        let mut total = overhead;
-        for (i, s) in self.launches.iter().enumerate() {
-            let exec = s.time_us - overhead;
-            if i + 1 < self.launches.len() {
-                // A kernel shorter than the launch overhead leaves a gap
-                // the next launch cannot fully hide.
-                total += exec.max(overhead * 0.3);
-            } else {
-                total += exec;
-            }
-        }
-        total
+        pipelined_us(
+            self.gpu.device().launch_overhead_us,
+            self.launches.iter().map(|s| s.time_us),
+        )
     }
 }
 
@@ -1383,15 +1356,17 @@ mod tests {
     fn empty_stream_costs_nothing() {
         let gpu = Gpu::v100();
         assert_eq!(Stream::new(&gpu).total_us(), 0.0);
+        assert_eq!(pipelined_us(5.0, []), 0.0);
     }
 
     /// Regression: the short-kernel gap penalty used to apply to the *last*
     /// launch too, making a single-launch stream "slower" than the same
-    /// launch alone — which is how `BatchedResult::overhead_saved_us` went
-    /// negative. A stream of one is exactly the solo launch.
+    /// launch alone — which is how a batch's saved overhead went negative.
+    /// A pipeline of one is exactly the solo launch.
     #[test]
-    fn single_launch_stream_equals_solo_launch() {
+    fn single_launch_pipeline_equals_solo_launch() {
         let gpu = Gpu::v100();
+        let overhead = gpu.device().launch_overhead_us;
         // Tiny kernel: execution far below the launch overhead, the case
         // that used to trip the gap penalty.
         let k = Noop {
@@ -1399,6 +1374,7 @@ mod tests {
             cycles_of_fma: 1,
         };
         let solo = gpu.profile(&k).time_us;
+        assert_eq!(pipelined_us(overhead, [solo]), solo);
         let mut stream = Stream::new(&gpu);
         stream.profile(&k);
         assert!(
@@ -1408,11 +1384,13 @@ mod tests {
         );
     }
 
-    /// Pipelining can only hide overhead: a stream is never slower than
-    /// launching its kernels back to back, for any kernel size.
+    /// Pipelining can only hide overhead: a pipeline is never slower than
+    /// launching its kernels back to back, for any kernel size, and the
+    /// stream reports exactly the shared pipelining function.
     #[test]
-    fn stream_never_exceeds_naive_sum() {
+    fn pipeline_never_exceeds_naive_sum() {
         let gpu = Gpu::v100();
+        let overhead = gpu.device().launch_overhead_us;
         for cycles in [1, 2_000, 50_000] {
             let k = Noop {
                 blocks: 4,
@@ -1420,50 +1398,21 @@ mod tests {
             };
             for n in 1..5 {
                 let mut stream = Stream::new(&gpu);
-                let mut naive = 0.0;
-                for _ in 0..n {
-                    naive += stream.profile(&k).time_us;
-                }
+                let times: Vec<f64> = (0..n).map(|_| stream.profile(&k).time_us).collect();
+                let naive: f64 = times.iter().sum();
+                let piped = pipelined_us(overhead, times.iter().copied());
                 assert!(
-                    stream.total_us() <= naive + 1e-9,
-                    "stream {} > naive {naive} for {n} x {cycles}-cycle kernels",
-                    stream.total_us()
+                    piped <= naive + 1e-9,
+                    "pipeline {piped} > naive {naive} for {n} x {cycles}-cycle kernels"
                 );
+                assert_eq!(stream.total_us(), piped);
             }
         }
-    }
-
-    #[test]
-    fn stream_cache_replays_identical_launches() {
-        let gpu = Gpu::v100();
-        let cache = LaunchCache::new();
-        let mut stream = Stream::with_cache(&gpu, &cache);
-        let k = Noop {
-            blocks: 8,
-            cycles_of_fma: 100,
-        };
-        let a = stream.launch_cached(42, &k);
-        let b = stream.launch_cached(42, &k);
-        assert_eq!(a, b, "replayed stats are bit-identical");
-        assert_eq!(stream.cache_hits(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(stream.launches().len(), 2);
-    }
-
-    #[test]
-    fn stream_cache_bypassed_under_fault_plan() {
-        let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
-        let cache = LaunchCache::new();
-        let mut stream = Stream::with_cache(&gpu, &cache);
-        let k = Noop {
-            blocks: 8,
-            cycles_of_fma: 100,
-        };
-        stream.launch_cached(42, &k);
-        stream.launch_cached(42, &k);
-        assert_eq!(stream.cache_hits(), 0, "fault-plan GPUs simulate in full");
-        assert!(cache.is_empty(), "no inserts while a fault plan is armed");
+        // Mixed sizes, including launches shorter than the overhead.
+        for times in [vec![0.5, 30.0, 0.5], vec![overhead, overhead], vec![1.0; 8]] {
+            let naive: f64 = times.iter().sum();
+            assert!(pipelined_us(overhead, times.iter().copied()) <= naive + 1e-9);
+        }
     }
 
     #[test]

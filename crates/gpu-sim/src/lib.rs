@@ -91,8 +91,8 @@ pub use fleet::{EventId, Fleet, FleetError, FleetSync};
 pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::Kernel;
 pub use launch::{
-    Check, Deferred, Gpu, Launch, LaunchError, LaunchStats, LaunchSummary, Launchable, Launched,
-    Mode, PipelineBreakdown, Stream,
+    pipelined_us, Check, Deferred, Gpu, Launch, LaunchError, LaunchStats, LaunchSummary,
+    Launchable, Launched, Mode, PipelineBreakdown, Stream,
 };
 pub use launch_cache::LaunchCache;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

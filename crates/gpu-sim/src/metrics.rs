@@ -30,7 +30,6 @@
 //! | `sanitizer_skips` | whole sanitize runs skipped on a fingerprint-identical cache hit |
 //! | `static_refuted` | launches rejected by the static auditor before any block ran |
 //! | `dispatch_degraded` / `dispatch_failed_attempts` | degradation-ladder traffic |
-//! | `dispatch_rung_*` | served requests per ladder rung (`sputnik`, `heuristic`, `fallback`, `cpu_reference`) |
 //! | `serve_offered` / `serve_served` / `serve_shed` / `serve_rejected` | front-door outcome totals |
 //! | `serve_late` / `serve_batches` / `serve_degraded` | SLO misses, launch windows, degraded serves |
 //! | `joint_tiles_total` / `joint_tiles_skipped` | pattern-LUT probes issued by joint-sparsity launches, and how many hit dead tiles (skip rate = skipped/total) |

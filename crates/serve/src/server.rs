@@ -16,8 +16,8 @@
 //! 4. **Serve.** The window runs through the fault-tolerant batched
 //!    dispatchers ([`sputnik::spmm_batched_dispatch`] /
 //!    [`sputnik::sddmm_batched_dispatch`]), so an armed
-//!    [`gpu_sim::FaultPlan`] degrades individual requests down the PR-1
-//!    ladder instead of crashing the server. Every request gets a
+//!    [`gpu_sim::FaultPlan`] degrades individual requests down the
+//!    [`sputnik::dispatch`] ladder instead of crashing the server. Every request gets a
 //!    [`sputnik::DispatchReport`] attributing the rung that served it.
 //!
 //! Conservation is asserted on every run: `served + shed + rejected ==
@@ -78,8 +78,8 @@ pub struct ServeReport {
     /// Served past deadline (subset of `served`).
     pub late: u64,
     pub latency: LatencyRecorder,
-    /// Served requests by degradation rung, indexed like
-    /// [`sputnik::DegradationStats::RUNG_COUNTERS`].
+    /// Served requests by degradation rung, indexed by
+    /// [`sputnik::Rung`]` as usize`.
     pub rung_counts: [u64; 4],
     /// Served requests whose rung was not the requested configuration.
     pub degraded: u64,

@@ -11,7 +11,7 @@
 
 use gpu_sim::{FaultKind, FaultPlan, Gpu};
 use sparse::{gen, Matrix};
-use sputnik::{dispatch, reference, try_spmm, DispatchPolicy, SpmmConfig};
+use sputnik::{dispatch, reference, try_spmm, DispatchPolicy, SddmmConfig, SpmmConfig};
 
 fn main() {
     let (m, k, n) = (256, 256, 64);
@@ -30,7 +30,7 @@ fn main() {
     // 2. Clean device: dispatch serves from the requested Sputnik config.
     let gpu = Gpu::v100();
     let policy = DispatchPolicy::default();
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("clean dispatch");
+    let (out, report) = dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("clean dispatch");
     println!(
         "clean device    : served by {} (clean: {})",
         report.served_by,
@@ -42,7 +42,8 @@ fn main() {
     //    the conservative fallback kernel and still returns bit-correct output.
     let gpu =
         Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("degraded dispatch");
+    let (out, report) =
+        dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("degraded dispatch");
     println!(
         "all-ECC device  : served by {} after {} failed attempts ({:.0} us backoff)",
         report.served_by,
@@ -59,7 +60,8 @@ fn main() {
     //    the post-launch guards catch it anyway.
     let gpu = Gpu::v100()
         .with_fault_plan(FaultPlan::fail_all(FaultKind::PoisonOutput).matching("sputnik"));
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("poisoned dispatch");
+    let (out, report) =
+        dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("poisoned dispatch");
     println!(
         "poisoned device : served by {} ({} corrupt outputs detected)",
         report.served_by,
@@ -70,10 +72,37 @@ fn main() {
     // 5. Transient flake: only the first launch fails; a bounded retry recovers
     //    without leaving the fast path.
     let gpu = Gpu::v100().with_fault_plan(FaultPlan::fail_first(1, FaultKind::EccError));
-    let (_, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("retried dispatch");
+    let (_, report) = dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("retried dispatch");
     println!(
         "transient flake : served by {} after retry ({} attempt logged)",
         report.served_by,
         report.attempts.len()
     );
+
+    // 6. SDDMM rides the same ladder (Sputnik → heuristic → CPU; there is no
+    //    fallback SDDMM kernel). With every Sputnik launch failing, the host
+    //    rung serves the reference values; bad shapes are still typed errors.
+    let mask = gen::attention_mask(m, 16, 0.9, 13);
+    let lhs = Matrix::<f32>::random(m, n, 17);
+    let rhs = Matrix::<f32>::random(m, n, 19);
+    let sddmm_cfg = SddmmConfig::heuristic::<f32>(n);
+    let gpu =
+        Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
+    let (out, report) = dispatch::sddmm(&gpu, None, &lhs, &rhs, &mask, sddmm_cfg, &policy)
+        .expect("degraded sddmm dispatch");
+    println!(
+        "all-ECC sddmm   : served by {} after {} failed attempts",
+        report.served_by,
+        report.attempts.len()
+    );
+    assert_eq!(
+        out.values(),
+        reference::sddmm(&lhs, &rhs, &mask).values(),
+        "degraded SDDMM must return the reference values"
+    );
+    let bad_rhs = Matrix::<f32>::random(m, n / 2, 19);
+    match dispatch::sddmm(&gpu, None, &lhs, &bad_rhs, &mask, sddmm_cfg, &policy) {
+        Err(e) => println!("typed sddmm err : {e}"),
+        Ok(_) => unreachable!("shape mismatch must not succeed"),
+    }
 }

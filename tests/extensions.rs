@@ -36,11 +36,15 @@ fn batched_equals_unbatched() {
     let heads: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(64, 16, 2104 + i)).collect();
     let refs: Vec<&Matrix<f32>> = heads.iter().collect();
     let cfg = SpmmConfig::heuristic::<f32>(16);
-    let batched = sputnik::spmm_batched(&gpu, &a, &refs, cfg);
+    let cache = gpu_sim::LaunchCache::new();
+    let policy = sputnik::DispatchPolicy::default();
+    let batched = sputnik::spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &policy)
+        .expect("clean window");
     for (out, b) in batched.outputs.iter().zip(&heads) {
         let (solo, _) = sputnik::spmm(&gpu, &a, b, cfg);
-        assert!(
-            out.max_abs_diff(&solo) < 1e-6,
+        assert_eq!(
+            out.as_slice(),
+            solo.as_slice(),
             "batched must equal unbatched exactly"
         );
     }
