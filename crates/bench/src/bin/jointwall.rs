@@ -39,7 +39,7 @@
 
 use gpu_sim::{chrome_trace_json, trace, validate_chrome_trace, Gpu, Verdict};
 use sparse::{gen, CsrMatrix, PatternGranularity, PatternLut, RowSwizzle};
-use sputnik::{joint_heuristic, joint_spmm_profile, JointSpmmKernel};
+use sputnik::{joint_heuristic, joint_spmm_profile, SpmmKernel};
 use sputnik_bench::{gate, has_flag, Table};
 
 const SEED: u64 = 0x1017;
@@ -66,7 +66,8 @@ fn audit_refutations(
 ) -> u64 {
     let cfg = joint_heuristic::<f32>(N);
     let swizzle = RowSwizzle::identity(a.rows());
-    let kernel = JointSpmmKernel::<f32>::for_profile(a, N, &swizzle, lut, cfg)
+    let kernel = SpmmKernel::<f32>::for_profile(a, N, &swizzle, cfg)
+        .with_pattern(lut)
         .unwrap_or_else(|e| panic!("jointwall: audit construction: {e}"));
     let audit = gpu.audit(&kernel);
     let mut refuted = 0;
@@ -148,7 +149,8 @@ fn main() {
     // joint counter track alongside the launch.
     trace::enable();
     let cfg = joint_heuristic::<f32>(N);
-    joint_spmm_profile::<f32>(&gpu, &a, K, N, &fine, cfg);
+    joint_spmm_profile::<f32>(&gpu, None, &a, K, N, &fine, cfg)
+        .unwrap_or_else(|e| panic!("jointwall: traced profile: {e}"));
     let events = trace::disable();
     let has_joint_counters = events.iter().any(|e| {
         e.cat == "joint" && matches!(e.kind, trace::EventKind::Counter { value } if value > 0)

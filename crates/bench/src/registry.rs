@@ -27,7 +27,7 @@ use gpu_sim::{Kernel, SddmmSoftmaxSpmmKernel};
 use sparse::ell::EllMatrix;
 use sparse::{block, gen, Layout, Matrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{
-    joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, PermuteKernel, SddmmConfig, SddmmKernel,
+    joint_heuristic, FallbackSpmmKernel, PermuteKernel, SddmmConfig, SddmmKernel,
     SparseSoftmaxKernel, SpmmConfig, SpmmKernel,
 };
 use std::sync::atomic::AtomicU32;
@@ -90,7 +90,8 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
             for granularity in [PatternGranularity::Fine, PatternGranularity::Coarse] {
                 let lut = PatternLut::build(&acts, granularity);
                 let mut out = Matrix::<f32>::zeros(m, n);
-                let kernel = JointSpmmKernel::try_new(&a, &acts, &mut out, &swizzle, &lut, cfg)
+                let kernel = SpmmKernel::try_new(&a, &acts, &mut out, &swizzle, cfg)
+                    .and_then(|k| k.with_pattern(&lut))
                     .unwrap_or_else(|e| panic!("registry: joint spmm construction: {e}"));
                 visit(&kernel);
             }

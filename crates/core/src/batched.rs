@@ -12,9 +12,9 @@
 //! and, as everywhere, bypasses the cache.
 //!
 //! The window's device time pipelines the GPU-served launches with
-//! [`gpu_sim::pipelined_us`], the function behind
-//! [`gpu_sim::Stream::total_us`], so back-to-back items overlap their launch
-//! overhead as they would on real hardware.
+//! [`gpu_sim::pipelined_us`] (back-to-back launches on one stream), so
+//! back-to-back items overlap their launch overhead as they would on real
+//! hardware.
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::dispatch::{self, DispatchPolicy, DispatchReport, Rung};

@@ -16,23 +16,37 @@
 
 use crate::config::SpmmConfig;
 use crate::error::SputnikError;
+use crate::joint::{validate_pattern, warp_liveness};
 use crate::roma::{MemoryAligner, ROMA_MASK_INSTRS, ROMA_PRELUDE_INSTRS};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, Deferred, Dim3, Fingerprint, Gpu, Kernel, Launch, LaunchCache, LaunchStats,
     SmemScope, StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
-use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
+use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
 
-/// Validate shapes/config shared by the functional and profile constructors
-/// (and by the joint-sparsity kernel, which layers its own LUT checks on
-/// top — see [`crate::joint`]).
-pub(crate) fn validate_spmm<T: Scalar>(
+/// Validate shapes/config shared by the functional and profile constructors.
+fn validate_spmm<T: Scalar>(
     a: &CsrMatrix<T>,
     swizzle: &RowSwizzle,
     cfg: &SpmmConfig,
 ) -> Result<(), SputnikError> {
-    cfg.validate(a.cols())
+    validate_config(cfg, a.cols())?;
+    if swizzle.len() != a.rows() {
+        return Err(SputnikError::ShapeMismatch {
+            expected: format!("swizzle over {} rows", a.rows()),
+            found: format!("{} entries", swizzle.len()),
+            context: "spmm row swizzle",
+        });
+    }
+    Ok(())
+}
+
+/// Configuration legality for an inner dimension of `k`, independent of any
+/// operand data (the joint profile entry point checks it before its cache
+/// lookup).
+pub(crate) fn validate_config(cfg: &SpmmConfig, k: usize) -> Result<(), SputnikError> {
+    cfg.validate(k)
         .map_err(|reason| SputnikError::IllegalConfig { reason })?;
     if cfg.threads_x() > 32 {
         return Err(SputnikError::IllegalConfig {
@@ -42,13 +56,6 @@ pub(crate) fn validate_spmm<T: Scalar>(
                 cfg.vector_width,
                 cfg.threads_x()
             ),
-        });
-    }
-    if swizzle.len() != a.rows() {
-        return Err(SputnikError::ShapeMismatch {
-            expected: format!("swizzle over {} rows", a.rows()),
-            found: format!("{} entries", swizzle.len()),
-            context: "spmm row swizzle",
         });
     }
     Ok(())
@@ -83,6 +90,8 @@ pub const BUF_B: BufferId = BufferId(3);
 pub const BUF_C: BufferId = BufferId(4);
 pub const BUF_SWIZZLE: BufferId = BufferId(5);
 pub const BUF_BIAS: BufferId = BufferId(6);
+/// The activation pattern LUT of a [`SpmmKernel::with_pattern`] launch.
+pub const BUF_LUT: BufferId = BufferId(7);
 
 /// The simulated SpMM kernel. Construct via [`SpmmKernel::new`] (functional)
 /// or [`SpmmKernel::for_profile`] (cost model only — no dense allocations),
@@ -99,16 +108,19 @@ pub struct SpmmKernel<'a, T: Scalar> {
     /// Accumulate into the existing output (`C += A·B`) instead of
     /// overwriting it. See [`SpmmKernel::with_accumulate`].
     accumulate: bool,
+    /// Zero-tile bitmap of B: stored nonzeros whose B tile it marks dead are
+    /// skipped. See [`SpmmKernel::with_pattern`].
+    pattern: Option<&'a PatternLut>,
 }
 
-/// Per-subwarp state computed in the prelude. Shared with the joint-sparsity
-/// kernel ([`crate::joint`]), which resolves subwarps identically.
+/// Per-subwarp state computed in the prelude (and read by the pattern
+/// liveness walk in [`crate::joint`]).
 #[derive(Clone, Copy)]
 pub(crate) struct SubwarpWork {
     /// Output row this subwarp produces, or `usize::MAX` when out of range.
     pub(crate) row: usize,
     /// True row length.
-    pub(crate) nnz: usize,
+    nnz: usize,
     /// ROMA-aligned start.
     pub(crate) aligned_offset: usize,
     /// Masked prefix length.
@@ -120,11 +132,11 @@ pub(crate) struct SubwarpWork {
 /// Upper bound on subwarps per block (`block_items_y <= 32`, enforced by
 /// [`SpmmConfig::validate`]). Lets the prelude resolve descriptors into a
 /// stack buffer instead of a per-block heap allocation.
-pub(crate) const MAX_BLOCK_SUBWARPS: usize = 32;
+const MAX_BLOCK_SUBWARPS: usize = 32;
 
 impl SubwarpWork {
     /// Placeholder for unresolved stack-buffer slots.
-    pub(crate) const EMPTY: SubwarpWork = SubwarpWork {
+    const EMPTY: SubwarpWork = SubwarpWork {
         row: usize::MAX,
         nnz: 0,
         aligned_offset: 0,
@@ -135,7 +147,7 @@ impl SubwarpWork {
 
 /// Collect `row * scale` for every in-range subwarp into a stack buffer;
 /// returns the count. Shared by the offset/bias gathers and the signature.
-pub(crate) fn gather_row_addrs(
+fn gather_row_addrs(
     subs: &[SubwarpWork],
     scale: u64,
     out: &mut [u64; MAX_BLOCK_SUBWARPS],
@@ -150,37 +162,9 @@ pub(crate) fn gather_row_addrs(
     n
 }
 
-/// Effective vector width for loads from the sparse matrix (see
-/// [`SpmmKernel`]'s `vw_a`); shared with [`crate::joint`].
-pub(crate) fn effective_vw_a(cfg: &SpmmConfig) -> u32 {
-    if cfg.roma || cfg.assume_aligned || cfg.vector_width == 1 {
-        cfg.vector_width
-    } else {
-        1
-    }
-}
-
-/// Sectors touched by one subwarp's load of a `tile_w`-element strip of a
-/// dense row-major `k x n` operand at column offset `n_off`; shared with
-/// [`crate::joint`].
-pub(crate) fn dense_strip_sectors(elem_bytes: u32, n: usize, n_off: usize, tile_w: usize) -> u64 {
-    let eb = elem_bytes as u64;
-    let row_bytes = n as u64 * eb;
-    let off_bytes = n_off as u64 * eb;
-    if row_bytes.is_multiple_of(32) && off_bytes.is_multiple_of(32) {
-        gpu_sim::memory::sectors_contiguous(0, tile_w as u64 * eb)
-    } else {
-        gpu_sim::memory::sectors_contiguous(eb, tile_w as u64 * eb)
-    }
-}
-
 /// Resolve one subwarp's work descriptor: swizzled row id, true length, and
-/// the ROMA / assume-aligned start adjustment. The dense-activation
-/// [`SpmmKernel`] and the joint-sparsity kernel ([`crate::joint`]) resolve
-/// subwarps through this one function, so their per-element iteration spaces
-/// are identical by construction — the foundation of the joint kernel's
-/// bit-identity claim.
-pub(crate) fn resolve_subwarp<T: Scalar>(
+/// the ROMA / assume-aligned start adjustment.
+fn resolve_subwarp<T: Scalar>(
     a: &CsrMatrix<T>,
     swizzle: &RowSwizzle,
     cfg: &SpmmConfig,
@@ -275,6 +259,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             cfg,
             n,
             accumulate: false,
+            pattern: None,
         })
     }
 
@@ -297,6 +282,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             cfg,
             n,
             accumulate: false,
+            pattern: None,
         }
     }
 
@@ -314,6 +300,10 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             !self.cfg.fused_bias_relu,
             "accumulate cannot compose with fused_bias_relu"
         );
+        assert!(
+            self.pattern.is_none(),
+            "accumulate cannot compose with a pattern"
+        );
         self.accumulate = true;
         self
     }
@@ -329,12 +319,36 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         self
     }
 
+    /// Skip the B-load and FMAs of every stored nonzero whose B tile `lut`
+    /// marks all-zero: joint activation × weight sparsity, bit-identical to
+    /// the launch without a pattern (the proof is in [`crate::joint`]).
+    /// The launch is named `sputnik_joint_spmm_*`. Rejects a fused
+    /// bias+ReLU or accumulate epilogue, a column tile that does not divide
+    /// the LUT's 32-column tile, and a LUT over a differently shaped B.
+    pub fn with_pattern(mut self, lut: &'a PatternLut) -> Result<Self, SputnikError> {
+        if self.accumulate {
+            return Err(SputnikError::IllegalConfig {
+                reason: "joint-sparsity SpMM does not support the accumulate epilogue: its fma \
+                         chain is seeded from the output, not from +0.0"
+                    .into(),
+            });
+        }
+        validate_pattern(&self.cfg, self.a.cols(), self.n, lut)?;
+        self.pattern = Some(lut);
+        Ok(self)
+    }
+
     /// Effective vector width for loads from the sparse matrix: without ROMA
     /// the row start has no alignment guarantee, so vector loads are illegal
     /// and the kernel falls back to scalar accesses (the padding alternative
     /// the paper rejects as "limiting the generality of the kernel").
     fn vw_a(&self) -> u32 {
-        effective_vw_a(&self.cfg)
+        let cfg = &self.cfg;
+        if cfg.roma || cfg.assume_aligned || cfg.vector_width == 1 {
+            cfg.vector_width
+        } else {
+            1
+        }
     }
 
     /// Sectors touched by one subwarp's load of a `tile_w`-element strip of a
@@ -342,7 +356,14 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
     /// are sector-aligned this is the same for every row of B; otherwise the
     /// strip straddles one extra sector (the representative misaligned case).
     fn b_load_sectors(&self, n_off: usize, tile_w: usize) -> u64 {
-        dense_strip_sectors(T::BYTES, self.n, n_off, tile_w)
+        let eb = T::BYTES as u64;
+        let row_bytes = self.n as u64 * eb;
+        let off_bytes = n_off as u64 * eb;
+        if row_bytes.is_multiple_of(32) && off_bytes.is_multiple_of(32) {
+            gpu_sim::memory::sectors_contiguous(0, tile_w as u64 * eb)
+        } else {
+            gpu_sim::memory::sectors_contiguous(eb, tile_w as u64 * eb)
+        }
     }
 
     /// Prepare one subwarp's work descriptor.
@@ -352,8 +373,16 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
 
     /// Functional computation for one subwarp: the real numerics, walked
     /// through the kernel's actual control flow (aligned start, masked
-    /// prefix, zero-padded residue).
-    fn compute_subwarp(&self, sub: &SubwarpWork, n_off: usize, tile_w: usize) {
+    /// prefix, zero-padded residue). `live(col)` says whether B row `col`'s
+    /// tile can be nonzero; a pattern-less launch passes `|_| true`, which
+    /// compiles the test away.
+    fn compute_subwarp(
+        &self,
+        sub: &SubwarpWork,
+        n_off: usize,
+        tile_w: usize,
+        live: impl Fn(usize) -> bool,
+    ) {
         // The accumulator tile models the subwarp's register/shared staging:
         // arena-pooled (zero heap traffic once warm) and lane-vectorized.
         let mut acc = gpu_sim::arena::ScratchF32::take(tile_w);
@@ -372,16 +401,15 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 *slot = unsafe { out.read(sub.row * self.n + n_off + x) }.to_f32();
             }
         }
-        for j in 0..sub.total {
-            let pos = sub.aligned_offset + j;
-            // ROMA masking: the prefix belongs to the previous row.
-            let (val, col) = if j < sub.prefix {
-                (0.0f32, 0usize)
-            } else {
-                (values[pos].to_f32(), indices[pos] as usize)
-            };
+        // ROMA masking: the prefix belongs to the previous row.
+        for pos in sub.aligned_offset + sub.prefix..sub.aligned_offset + sub.total {
+            let val = values[pos].to_f32();
             if val == 0.0 {
                 continue;
+            }
+            let col = indices[pos] as usize;
+            if !live(col) {
+                continue; // dead tile: every skipped fma is fma(val, +0.0, acc) == acc
             }
             let brow = &b[col * self.n + n_off..col * self.n + n_off + tile_w];
             gpu_sim::lanes::fma_axpy(&mut acc, val, brow, |bv| bv.to_f32());
@@ -400,7 +428,14 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
     }
 
     /// Cost of one warp's execution over its subwarps.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// With a pattern, each strip also gathers the distinct LUT words its
+    /// positions probe and spends one bit-test per position, and the inner
+    /// body (B load, index scaling, FMAs) runs only at the strip's
+    /// *union-live* positions: skipping is warp-uniform, so a position where
+    /// any subwarp is live costs the whole warp an instruction slot. B
+    /// traffic and useful FLOPs count each subwarp's own live positions.
+    /// Without a pattern every position is live.
     fn cost_warp(&self, ctx: &mut BlockContext, subs: &[SubwarpWork], n_off: usize, tile_w: usize) {
         let cfg = &self.cfg;
         let bik = cfg.block_items_k as usize;
@@ -409,7 +444,6 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         let vw_a = self.vw_a();
         let eb = T::BYTES;
         let ib = cfg.index_width.bytes();
-        let lanes = (threads_x * subs.len() as u32).min(32);
 
         // ---- Prelude (per warp) -------------------------------------------
         // Tile index math: ~6 integer ops.
@@ -445,7 +479,9 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         // memory-bound kernel sees exposed latency proportional to the idle
         // slots. Calibrated against Figure 7's anchor points (standard
         // ordering degrades to ~50% of balanced throughput at the feasible
-        // CoV maximum; row swizzle retains >95%).
+        // CoV maximum; row swizzle retains >95%). Pattern skipping is
+        // warp-uniform, so it changes which positions execute, never which
+        // lanes.
         const DIVERGENCE_STALL_CYCLES_PER_SLOT: u64 = 14;
         let max_total = subs.iter().map(|s| s.total).max().unwrap_or(0);
         if subs.len() > 1 {
@@ -458,20 +494,31 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         }
 
         // ---- Main loop ----------------------------------------------------
-        if max_total > 0 {
-            let full_iters = (max_total / bik) as u64;
-            let residue = max_total % bik;
-
-            // Instruction cost of one full strip, per warp.
-            let a_load_instrs = gpu_sim::memory::vector_instr_count(bik as u64, threads_x, vw_a);
-            let smem_broadcast_loads = if cfg.residue_unroll {
-                // 128-bit shared loads: 4 values (+ their indices) per access.
-                2 * (bik as u64).div_ceil(4)
-            } else {
-                2 * (bik as u64).div_ceil(4)
-            };
-            let full_strip_instrs = |ctx: &mut BlockContext| {
-                // Stage A values + indices to shared memory.
+        let liveness = self
+            .pattern
+            .map(|lut| warp_liveness(self.a, lut, bik, subs, n_off));
+        // The warp-uniform probe: gather the strip's distinct LUT words (32
+        // lanes per gather instruction), one bit-test + skip predicate per
+        // position.
+        let probe = |ctx: &mut BlockContext, si: usize, len: usize| {
+            if let Some(lv) = &liveness {
+                for lanes in lv.strips[si].probe_addrs.chunks(32) {
+                    ctx.ld_global_gather(BUF_LUT, lanes, 8);
+                }
+                ctx.misc(len as u64);
+            }
+        };
+        let a_load_instrs = gpu_sim::memory::vector_instr_count(bik as u64, threads_x, vw_a);
+        // 128-bit shared loads: 4 values (+ their indices) per access.
+        let smem_broadcast_loads = 2 * (bik as u64).div_ceil(4);
+        for (si, base) in (0..max_total).step_by(bik).enumerate() {
+            let len = bik.min(max_total - base);
+            let live = liveness
+                .as_ref()
+                .map_or(len as u64, |lv| lv.strips[si].union_live);
+            if len == bik {
+                // Stage A values + indices to shared memory (in full: the
+                // indices must be staged to be probed).
                 for _ in 0..a_load_instrs {
                     // Sector counts are added per-subwarp below; these calls
                     // only count the instruction + a placeholder address.
@@ -484,55 +531,50 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 if cfg.index_prescale {
                     ctx.misc((bik as u64).div_ceil(threads_x as u64));
                 }
-                // Inner loop over the strip's nonzeros.
-                for _ in 0..1 {
-                    // Broadcast loads of values and indices from shared memory.
-                    for _ in 0..smem_broadcast_loads {
-                        ctx.ld_shared(1, 4, eb.max(ib), 1);
-                    }
-                    // One B-row strip load per nonzero (all subwarps issue in
-                    // the same warp instruction).
-                    ctx.cost.ld_global_instrs += bik as u64;
-                    if !cfg.index_prescale {
-                        ctx.misc(bik as u64); // scale index at every use
-                    }
-                    // vector_width FMAs per thread per nonzero.
-                    ctx.cost.fma_instrs += bik as u64 * vw as u64;
-                    ctx.misc(4); // loop bookkeeping
+                // Broadcast loads of values and indices from shared memory.
+                for _ in 0..smem_broadcast_loads {
+                    ctx.ld_shared(1, 4, eb.max(ib), 1);
                 }
-            };
-
-            for it in 0..full_iters {
-                full_strip_instrs(ctx);
-                if it == 0 && cfg.roma && vw > 1 {
+                probe(ctx, si, len);
+                // One B-row strip load per live nonzero (all subwarps issue
+                // in the same warp instruction).
+                ctx.cost.ld_global_instrs += live;
+                if !cfg.index_prescale {
+                    ctx.misc(live); // scale index at every use
+                }
+                // vector_width FMAs per thread per nonzero.
+                ctx.cost.fma_instrs += live * vw as u64;
+                ctx.misc(4); // loop bookkeeping
+                if si == 0 && cfg.roma && vw > 1 {
                     // Mask the prefix: 1 setp + 2 st.shared.
                     ctx.misc(1);
                     ctx.smem_store(2, 0, SmemScope::Warp);
                     let _ = ROMA_MASK_INSTRS;
                 }
-            }
-
-            // ---- Residue strip -------------------------------------------
-            if residue > 0 {
+            } else {
+                // ---- Residue strip ---------------------------------------
+                let residue = len as u64;
+                probe(ctx, si, len);
                 if cfg.residue_unroll {
                     // Zero the shared buffers, then run the unrolled path
-                    // without bounds checks (Section V-D2).
+                    // without bounds checks (Section V-D2). It works in
+                    // 4-wide chunks, so live work rounds up to a multiple
+                    // of 4.
                     ctx.smem_store(2, 0, SmemScope::Warp);
-                    let rounded = residue.div_ceil(4) * 4;
-                    let a_instrs =
-                        gpu_sim::memory::vector_instr_count(residue as u64, threads_x, vw_a);
+                    let rounded = live.div_ceil(4) * 4;
+                    let a_instrs = gpu_sim::memory::vector_instr_count(residue, threads_x, vw_a);
                     ctx.cost.ld_global_instrs += 2 * a_instrs;
                     ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                    ctx.cost.shared_bytes += residue as u64 * (eb + ib) as u64;
-                    for _ in 0..(2 * (rounded as u64).div_ceil(4)) {
+                    ctx.cost.shared_bytes += residue * (eb + ib) as u64;
+                    for _ in 0..(2 * residue.div_ceil(4)) {
                         ctx.ld_shared(1, 4, eb.max(ib), 1);
                     }
-                    ctx.cost.ld_global_instrs += rounded as u64; // B loads incl. padding
-                    ctx.cost.fma_instrs += rounded as u64 * vw as u64;
+                    ctx.cost.ld_global_instrs += rounded; // B loads incl. padding
+                    ctx.cost.fma_instrs += rounded * vw as u64;
                     if cfg.index_prescale {
-                        ctx.misc((residue as u64).div_ceil(threads_x as u64));
+                        ctx.misc(residue.div_ceil(threads_x as u64));
                     } else {
-                        ctx.misc(rounded as u64);
+                        ctx.misc(rounded);
                     }
                     ctx.misc(4);
                 } else {
@@ -541,25 +583,24 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                     // data-dependent trip count defeating unrolling (no
                     // static offsets, no dual-issue) — the inefficiency
                     // Section V-D2's loop splitting removes.
-                    let a_instrs =
-                        gpu_sim::memory::vector_instr_count(residue as u64, threads_x, 1);
+                    let a_instrs = gpu_sim::memory::vector_instr_count(residue, threads_x, 1);
                     ctx.cost.ld_global_instrs += 2 * a_instrs;
                     ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                    ctx.cost.shared_bytes += residue as u64 * (eb + ib) as u64;
-                    for _ in 0..(2 * residue as u64) {
+                    ctx.cost.shared_bytes += residue * (eb + ib) as u64;
+                    for _ in 0..(2 * residue) {
                         ctx.ld_shared(1, 1, eb.max(ib), 1);
                     }
-                    ctx.cost.ld_global_instrs += residue as u64;
-                    ctx.cost.fma_instrs += residue as u64 * vw as u64;
-                    ctx.misc(5 * residue as u64);
-                    ctx.cost.stall_cycles += 4 * residue as u64;
+                    ctx.cost.ld_global_instrs += live;
+                    ctx.cost.fma_instrs += live * vw as u64;
+                    ctx.misc(5 * residue);
+                    ctx.cost.stall_cycles += 4 * residue;
                 }
             }
         }
 
         // ---- Per-subwarp memory traffic ----------------------------------
         let b_sectors_per_load = self.b_load_sectors(n_off, tile_w);
-        for sub in subs {
+        for (s, sub) in subs.iter().enumerate() {
             if sub.row == usize::MAX || sub.total == 0 {
                 continue;
             }
@@ -574,15 +615,16 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 sub.aligned_offset as u64 * ib as u64,
                 sub.total as u64 * ib as u64,
             );
-            // B strips: one per processed value (residue padding loads row 0,
-            // which is still a real memory access).
-            // The unrolled residue path issues padded loads of B row 0, but
-            // every padding access hits the same cached row; only true
-            // nonzeros generate memory traffic either way.
-            let loads = sub.total as u64;
+            // B strips: one per processed live value. The unrolled residue
+            // path issues padded loads of B row 0, but every padding access
+            // hits the same cached row, and a predicated-off lane moves no
+            // sectors; only live positions generate memory traffic.
+            // Useful FLOPs: live true nonzeros only.
+            let (loads, useful) = liveness
+                .as_ref()
+                .map_or((sub.total as u64, sub.nnz as u64), |lv| lv.per_sub[s]);
             ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += loads * b_sectors_per_load;
-            // Useful FLOPs: true nonzeros only.
-            ctx.cost.flops += 2 * sub.nnz as u64 * tile_w as u64;
+            ctx.cost.flops += 2 * useful * tile_w as u64;
         }
 
         // ---- Output store -------------------------------------------------
@@ -625,15 +667,23 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             let addr = (sub.row * self.n + n_off) as u64 * eb as u64;
             ctx.st_global_trace(BUF_C, addr, tile_w as u64 * eb as u64);
         }
-        let _ = lanes;
     }
 }
 
 impl<T: Scalar> SpmmKernel<'_, T> {
-    /// The launch name for a configuration, without building a kernel —
-    /// lets cache lookups skip swizzle construction on the hit path.
-    pub(crate) fn launch_name(cfg: &SpmmConfig) -> String {
-        format!("sputnik_spmm_{}_{}", T::TAG, cfg.tag())
+    /// The launch name for a configuration and optional pattern, without
+    /// building a kernel — lets cache lookups skip swizzle construction on
+    /// the hit path. A pattern launch is named after its LUT granularity.
+    pub(crate) fn launch_name(cfg: &SpmmConfig, pattern: Option<&PatternLut>) -> String {
+        match pattern {
+            None => format!("sputnik_spmm_{}_{}", T::TAG, cfg.tag()),
+            Some(lut) => format!(
+                "sputnik_joint_spmm_{}_{}_{}",
+                T::TAG,
+                cfg.tag(),
+                lut.granularity().tag()
+            ),
+        }
     }
 }
 
@@ -642,10 +692,11 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
         // The accumulate epilogue changes the cost trace (extra C loads),
         // so it must be a distinct launch identity for the cache and the
         // sanitizer memo.
+        let name = Self::launch_name(&self.cfg, self.pattern);
         if self.accumulate {
-            format!("{}_acc", Self::launch_name(&self.cfg))
+            format!("{name}_acc")
         } else {
-            Self::launch_name(&self.cfg)
+            name
         }
     }
 
@@ -665,7 +716,9 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     }
 
     fn regs_per_thread(&self) -> u32 {
-        self.cfg.regs_per_thread()
+        // A pattern holds the strip's probe word + predicate in one extra
+        // register pair.
+        self.cfg.regs_per_thread() + if self.pattern.is_some() { 2 } else { 0 }
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
@@ -702,6 +755,14 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
                 pattern: AccessPattern::Streaming,
             },
         ];
+        if let Some(lut) = self.pattern {
+            bufs.push(BufferSpec {
+                id: BUF_LUT,
+                name: "pattern_lut",
+                footprint_bytes: lut.words().len() as u64 * 8,
+                pattern: AccessPattern::SharedReuse,
+            });
+        }
         if self.cfg.row_swizzle {
             bufs.push(BufferSpec {
                 id: BUF_SWIZZLE,
@@ -734,7 +795,10 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     /// all of this record bit-identical costs, which lets dataset sweeps
     /// execute one representative per signature — notably collapsing the
     /// grid's x extent, where the same row strip repeats across column tiles
-    /// in the same alignment class.
+    /// in the same alignment class. A pattern adds everything its skip model
+    /// reads — per-strip union-live counts and probe-gather shapes,
+    /// per-subwarp live totals — from the same `warp_liveness` walk
+    /// `cost_warp` uses.
     fn block_signature(&self, block: Dim3) -> Option<u64> {
         let cfg = &self.cfg;
         let eb = T::BYTES as u64;
@@ -771,7 +835,20 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
             if cfg.fused_bias_relu {
                 fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 4));
             }
-            for sub in chunk {
+            let liveness = self
+                .pattern
+                .map(|lut| warp_liveness(self.a, lut, cfg.block_items_k as usize, chunk, n_off));
+            if let Some(lv) = &liveness {
+                fp.write_u64(lv.strips.len() as u64);
+                for strip in &lv.strips {
+                    fp.write_u64(strip.union_live);
+                    fp.write_u64(strip.probe_addrs.len() as u64);
+                    for lanes in strip.probe_addrs.chunks(32) {
+                        fp.write_u64(gpu_sim::memory::sectors_gather(lanes, 8));
+                    }
+                }
+            }
+            for (s, sub) in chunk.iter().enumerate() {
                 if sub.row == usize::MAX {
                     fp.write_u64(u64::MAX);
                     continue;
@@ -781,6 +858,11 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
                 fp.write_u64(sub.aligned_offset as u64 * eb % 32);
                 fp.write_u64(sub.aligned_offset as u64 * ib % 32);
                 fp.write_u64((sub.row * self.n + n_off) as u64 * eb % 32);
+                if let Some(lv) = &liveness {
+                    let (live, live_nnz) = lv.per_sub[s];
+                    fp.write_u64(live);
+                    fp.write_u64(live_nnz);
+                }
             }
         }
         Some(fp.finish())
@@ -815,9 +897,12 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
 
         // Functional output.
         if ctx.functional() && self.b.is_some() {
-            for sub in subs {
-                if sub.row != usize::MAX {
-                    self.compute_subwarp(sub, n_off, tile_w);
+            for sub in subs.iter().filter(|s| s.row != usize::MAX) {
+                match self.pattern {
+                    None => self.compute_subwarp(sub, n_off, tile_w, |_| true),
+                    Some(lut) => {
+                        self.compute_subwarp(sub, n_off, tile_w, |col| lut.live_for(col, n_off))
+                    }
                 }
             }
         }
@@ -845,6 +930,10 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     ///   bounds guarantee B gets.)
     /// * `c` / `bias` / `row_indices`: indexed by real row ids `< rows`
     ///   (the swizzle is a permutation of `0..rows`).
+    /// * `pattern_lut`: a probe reads the 8-byte word at
+    ///   `((kt * ntiles + nt) / 64) * 8`. Validated CSR indices give
+    ///   `kt < ktiles` and in-range strips give `nt < ntiles`, so the
+    ///   furthest byte is at most `words.len() * 8` — the exact allocation.
     fn static_facts(&self) -> StaticFacts {
         let cfg = &self.cfg;
         let eb = T::BYTES as u64;
@@ -876,6 +965,12 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
                 bound: AccessBound::Extent(rows * n * eb),
             },
         ];
+        if let Some(lut) = self.pattern {
+            bounds.push(BufferBound {
+                slot: BUF_LUT.0,
+                bound: AccessBound::Extent(lut.words().len() as u64 * 8),
+            });
+        }
         if cfg.row_swizzle {
             // The prelude loads one swizzled row id per *live* subwarp in
             // the warp, starting at address 0 — the worst chunk is
@@ -940,20 +1035,9 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     }
 
     fn poison_output(&self, seed: u64) {
-        // Simulated silent data corruption: scatter a few NaNs across the
-        // output at seed-derived positions. Disjoint from block execution —
-        // the launcher calls this only after all blocks complete.
         if let Some(out) = self.out.as_ref() {
-            let len = out.len();
-            if len == 0 {
-                return;
-            }
-            for i in 0..3u64 {
-                let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z ^= z >> 31;
-                unsafe { out.write(z as usize % len, T::from_f32(f32::NAN)) };
-            }
+            // SAFETY: the launcher poisons only after every block completed.
+            unsafe { out.poison(seed, T::from_f32(f32::NAN)) };
         }
     }
 }
@@ -1034,7 +1118,7 @@ fn profile_launch<T: Scalar>(
 ) -> (LaunchStats, bool) {
     assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
     let target = Deferred::new(
-        || SpmmKernel::<T>::launch_name(&cfg),
+        || SpmmKernel::<T>::launch_name(&cfg, None),
         |run| {
             let swizzle = RowSwizzle::new(a, cfg.row_swizzle);
             run(&SpmmKernel::<T>::for_profile(a, n, &swizzle, cfg));

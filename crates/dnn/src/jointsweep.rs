@@ -140,8 +140,10 @@ pub fn joint_crossover_sweep(
 
         let dense_gemm_us = gemm_profile(gpu, m, k, n).time_us;
         let (c_weight, weight_stats) = spmm(gpu, &a, &b, cfg);
-        let (c_fine, fine_stats) = joint_spmm(gpu, &a, &b, &fine, cfg);
-        let (c_coarse, coarse_stats) = joint_spmm(gpu, &a, &b, &coarse, cfg);
+        let joint =
+            |lut: &PatternLut| joint_spmm(gpu, &a, &b, lut, cfg).unwrap_or_else(|e| panic!("{e}"));
+        let (c_fine, fine_stats) = joint(&fine);
+        let (c_coarse, coarse_stats) = joint(&coarse);
 
         points.push(JointSweepPoint {
             target_zero_frac: zf,

@@ -32,9 +32,9 @@
 //! the block-dedup and cache-replay fast paths make). What *is* deferred is
 //! timeline placement: [`Fleet::sync`] replays the queued commands against
 //! the event graph to place every launch and transfer on each device's
-//! stream clock, applying the same pipelined-submission model as
-//! [`crate::Stream`] (one full launch overhead up front, later launches on
-//! a busy stream hide theirs behind executing work).
+//! stream clock, applying the pipelined-submission model of
+//! [`crate::pipelined_us`] (one full launch overhead up front, later
+//! launches on a busy stream hide theirs behind executing work).
 //!
 //! ## Interconnect
 //!

@@ -1,7 +1,7 @@
 //! The launcher: executes a kernel's blocks, aggregates cost traces, applies
 //! the cache / scheduling / timing models, and reports simulated statistics.
 
-use crate::cache;
+use crate::cache::{self, BufferSpec};
 use crate::cost::{BlockContext, BlockCost, BlockCostLite, Traffic, MAX_BUFFERS};
 use crate::device::DeviceConfig;
 use crate::fault::{DeviceFault, FaultKind, FaultPlan};
@@ -488,7 +488,9 @@ impl Gpu {
     /// A cache miss: audit, then simulate (or sanitize) the launch.
     fn simulate(&self, req: &Launch<'_>, kernel: &dyn Kernel) -> Result<Launched, LaunchError> {
         let functional = req.mode == Mode::Functional;
-        let findings = static_check::findings(&self.dev, kernel, Details::Refuted);
+        // One buffer list serves the audit and the cache model.
+        let buffers = kernel.buffers();
+        let findings = static_check::findings(&self.dev, kernel, &buffers, Details::Refuted);
         let proven = findings
             .iter()
             .filter(|f| f.verdict == Verdict::Proven)
@@ -498,7 +500,7 @@ impl Gpu {
             .into_iter()
             .filter(|f| f.verdict == Verdict::Refuted);
         if req.check == Check::Sanitize {
-            let (stats, mut report) = self.sanitize(kernel, functional)?;
+            let (stats, mut report) = self.sanitize(kernel, functional, &buffers)?;
             for f in refuted {
                 report.push_static_refutation(f.class, &f.detail);
                 metrics::global().incr("sanitizer_violations", 1);
@@ -541,7 +543,7 @@ impl Gpu {
             None => None,
         };
 
-        let stats = self.execute(kernel, functional, occ);
+        let stats = self.execute(kernel, functional, occ, &buffers);
 
         // A poison fault corrupts the output *after* a successful-looking
         // launch: callers only notice by inspecting the results.
@@ -566,10 +568,10 @@ impl Gpu {
         &self,
         kernel: &dyn Kernel,
         functional: bool,
+        buffers: &[BufferSpec],
     ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
         let occ = self.validate(kernel)?;
         let req = kernel.block_requirements();
-        let buffers = kernel.buffers();
         let multi_warp = req.threads > self.dev.warp_size;
         let grid = kernel.grid();
         let n_blocks = grid.size();
@@ -585,7 +587,7 @@ impl Gpu {
                 (BlockCost::default(), Vec::new(), Vec::new()),
                 |(mut total, mut lites, mut sans), lin| {
                     let idx = grid.delinearize(lin);
-                    let san = BlockSan::for_kernel(&buffers, req.smem_bytes, multi_warp);
+                    let san = BlockSan::for_kernel(buffers, req.smem_bytes, multi_warp);
                     let mut ctx = BlockContext::sanitized(functional, san);
                     sanitizer::enter_block(lin);
                     kernel.execute_block(idx, &mut ctx);
@@ -614,7 +616,7 @@ impl Gpu {
         }
         report.absorb_session(race_count, race_examples);
 
-        let stats = self.finish(kernel, occ, total, &lites, None);
+        let stats = self.finish(kernel, occ, buffers, total, &lites, None);
         metrics::global().incr_many(&[
             ("sanitizer_runs", 1),
             ("sanitizer_violations", report.violation_count),
@@ -652,12 +654,18 @@ impl Gpu {
         Ok(occ)
     }
 
-    fn execute(&self, kernel: &dyn Kernel, functional: bool, occ: Occupancy) -> LaunchStats {
+    fn execute(
+        &self,
+        kernel: &dyn Kernel,
+        functional: bool,
+        occ: Occupancy,
+        buffers: &[BufferSpec],
+    ) -> LaunchStats {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
         if self.dedup {
-            if let Some(stats) = self.run_dedup(kernel, functional, occ) {
+            if let Some(stats) = self.run_dedup(kernel, functional, occ, buffers) {
                 return stats;
             }
         }
@@ -685,7 +693,7 @@ impl Gpu {
             })
             .unwrap_or_default();
 
-        self.finish(kernel, occ, total, &lites, None)
+        self.finish(kernel, occ, buffers, total, &lites, None)
     }
 
     /// Structural block dedup: group blocks by [`Kernel::block_signature`],
@@ -709,6 +717,7 @@ impl Gpu {
         kernel: &dyn Kernel,
         functional: bool,
         occ: Occupancy,
+        buffers: &[BufferSpec],
     ) -> Option<LaunchStats> {
         let grid = kernel.grid();
         let n_blocks = grid.size();
@@ -749,7 +758,7 @@ impl Gpu {
             total.merge_scaled(cost, k);
         }
         let classes: Vec<BlockCostLite> = costs.iter().map(BlockCostLite::from).collect();
-        Some(self.finish(kernel, occ, total, &classes, Some(&member)))
+        Some(self.finish(kernel, occ, buffers, total, &classes, Some(&member)))
     }
 
     /// Group blocks by structural signature. Returns `(unique, member)`:
@@ -851,12 +860,14 @@ impl Gpu {
 
     /// Turn the aggregated trace plus compact signature-class records into
     /// launch statistics (cache model, per-block timing, scheduling,
-    /// rooflines). `member[i]` names the class of block `i`; `None` is the
-    /// identity map, one class per block.
+    /// rooflines). `buffers` is the kernel's [`Kernel::buffers`] list.
+    /// `member[i]` names the class of block `i`; `None` is the identity map,
+    /// one class per block.
     fn finish(
         &self,
         kernel: &dyn Kernel,
         occ: Occupancy,
+        buffers: &[BufferSpec],
         total: BlockCost,
         classes: &[BlockCostLite],
         member: Option<&[u32]>,
@@ -866,8 +877,7 @@ impl Gpu {
         let req = kernel.block_requirements();
 
         // 2. Apply the cache model to the aggregate traffic.
-        let buffers = kernel.buffers();
-        let dram = cache::dram_traffic(dev, &buffers, &total.gmem);
+        let dram = cache::dram_traffic(dev, buffers, &total.gmem);
         let dram_bytes = dram.total_bytes();
 
         // 3. Per-class cycles. Each block's DRAM share uses the per-buffer
@@ -1067,54 +1077,6 @@ pub fn pipelined_us(overhead_us: f64, times: impl IntoIterator<Item = f64>) -> f
     total
 }
 
-/// A sequence of dependent kernel launches (a CUDA stream): kernels run
-/// back to back, but consecutive launches overlap the host-side launch
-/// overhead with the previous kernel's execution — the reason back-to-back
-/// small kernels cost less than `n * (overhead + time)`.
-pub struct Stream<'g> {
-    gpu: &'g Gpu,
-    launches: Vec<LaunchStats>,
-}
-
-impl<'g> Stream<'g> {
-    pub fn new(gpu: &'g Gpu) -> Self {
-        Self {
-            gpu,
-            launches: Vec::new(),
-        }
-    }
-
-    /// Launch functionally on the stream; returns this kernel's stats.
-    pub fn launch(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        self.push(Launch::FUNCTIONAL, kernel)
-    }
-
-    /// Profile on the stream (cost only).
-    pub fn profile(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        self.push(Launch::PROFILE, kernel)
-    }
-
-    /// Run `req` through [`Gpu::run`] and append it to the stream. Panics on
-    /// launch errors, like [`Gpu::launch`].
-    fn push(&mut self, req: Launch<'_>, kernel: &dyn Kernel) -> LaunchStats {
-        let launched = self.gpu.run(&req, kernel).unwrap_or_else(|e| panic!("{e}"));
-        self.launches.push(launched.stats.clone());
-        launched.stats
-    }
-
-    pub fn launches(&self) -> &[LaunchStats] {
-        &self.launches
-    }
-
-    /// Total simulated stream time: [`pipelined_us`] over the launches.
-    pub fn total_us(&self) -> f64 {
-        pipelined_us(
-            self.gpu.device().launch_overhead_us,
-            self.launches.iter().map(|s| s.time_us),
-        )
-    }
-}
-
 /// Aggregate of several launches (e.g. the layers of a network forward pass).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LaunchSummary {
@@ -1182,7 +1144,7 @@ fn assert_traffic_slots(_: [Traffic; MAX_BUFFERS]) {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{AccessPattern, BufferSpec};
+    use crate::cache::AccessPattern;
     use crate::cost::BufferId;
     use crate::dim::Dim3;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1337,11 +1299,10 @@ mod tests {
             cycles_of_fma: 50_000,
         };
         let solo = gpu.profile(&k).time_us;
-        let mut stream = Stream::new(&gpu);
-        for _ in 0..4 {
-            stream.profile(&k);
-        }
-        let total = stream.total_us();
+        let total = pipelined_us(
+            gpu.device().launch_overhead_us,
+            (0..4).map(|_| gpu.profile(&k).time_us),
+        );
         assert!(
             total < 4.0 * solo,
             "stream {} must beat 4x solo {}",
@@ -1349,18 +1310,17 @@ mod tests {
             4.0 * solo
         );
         assert!(total > 4.0 * (solo - gpu.device().launch_overhead_us));
-        assert_eq!(stream.launches().len(), 4);
     }
 
     #[test]
     fn empty_stream_costs_nothing() {
         let gpu = Gpu::v100();
-        assert_eq!(Stream::new(&gpu).total_us(), 0.0);
+        assert_eq!(pipelined_us(gpu.device().launch_overhead_us, []), 0.0);
         assert_eq!(pipelined_us(5.0, []), 0.0);
     }
 
     /// Regression: the short-kernel gap penalty used to apply to the *last*
-    /// launch too, making a single-launch stream "slower" than the same
+    /// launch too, making a single-launch pipeline "slower" than the same
     /// launch alone — which is how a batch's saved overhead went negative.
     /// A pipeline of one is exactly the solo launch.
     #[test]
@@ -1375,18 +1335,10 @@ mod tests {
         };
         let solo = gpu.profile(&k).time_us;
         assert_eq!(pipelined_us(overhead, [solo]), solo);
-        let mut stream = Stream::new(&gpu);
-        stream.profile(&k);
-        assert!(
-            (stream.total_us() - solo).abs() < 1e-12,
-            "stream of one ({}) must equal solo launch ({solo})",
-            stream.total_us()
-        );
     }
 
     /// Pipelining can only hide overhead: a pipeline is never slower than
-    /// launching its kernels back to back, for any kernel size, and the
-    /// stream reports exactly the shared pipelining function.
+    /// launching its kernels back to back, for any kernel size.
     #[test]
     fn pipeline_never_exceeds_naive_sum() {
         let gpu = Gpu::v100();
@@ -1397,15 +1349,13 @@ mod tests {
                 cycles_of_fma: cycles,
             };
             for n in 1..5 {
-                let mut stream = Stream::new(&gpu);
-                let times: Vec<f64> = (0..n).map(|_| stream.profile(&k).time_us).collect();
+                let times: Vec<f64> = (0..n).map(|_| gpu.profile(&k).time_us).collect();
                 let naive: f64 = times.iter().sum();
                 let piped = pipelined_us(overhead, times.iter().copied());
                 assert!(
                     piped <= naive + 1e-9,
                     "pipeline {piped} > naive {naive} for {n} x {cycles}-cycle kernels"
                 );
-                assert_eq!(stream.total_us(), piped);
             }
         }
         // Mixed sizes, including launches shorter than the overhead.

@@ -92,7 +92,7 @@ pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::Kernel;
 pub use launch::{
     pipelined_us, Check, Deferred, Gpu, Launch, LaunchError, LaunchStats, LaunchSummary,
-    Launchable, Launched, Mode, PipelineBreakdown, Stream,
+    Launchable, Launched, Mode, PipelineBreakdown,
 };
 pub use launch_cache::LaunchCache;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

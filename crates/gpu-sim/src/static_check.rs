@@ -224,7 +224,7 @@ impl std::fmt::Display for StaticAudit {
 pub fn audit(dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticAudit {
     StaticAudit {
         kernel: kernel.name(),
-        findings: findings(dev, kernel, Details::All).into(),
+        findings: findings(dev, kernel, &kernel.buffers(), Details::All).into(),
     }
 }
 
@@ -238,18 +238,19 @@ pub(crate) enum Details {
 }
 
 /// The five findings of [`audit`], one per [`CheckClass`], in
-/// [`CheckClass::ALL`] order.
+/// [`CheckClass::ALL`] order. `buffers` is the kernel's
+/// [`Kernel::buffers`] list, built once by the caller.
 pub(crate) fn findings(
     dev: &DeviceConfig,
     kernel: &dyn Kernel,
+    buffers: &[crate::cache::BufferSpec],
     details: Details,
 ) -> [StaticFinding; 5] {
     let facts = kernel.static_facts();
-    let buffers = kernel.buffers();
     let req = kernel.block_requirements();
     let multi_warp = req.threads > dev.warp_size;
     [
-        check_bounds(details, &facts, &buffers),
+        check_bounds(details, &facts, buffers),
         check_alignment(details, &facts),
         check_shared_capacity(details, dev, &facts, req.smem_bytes, multi_warp),
         check_grid_occupancy(details, dev, kernel),

@@ -100,6 +100,29 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
         }
         unsafe { *(*self.ptr.add(index)).get() }
     }
+
+    /// Simulated silent data corruption: write `value` at three positions
+    /// derived from `seed` by a splitmix64 finalizer (a no-op on an empty
+    /// slice).
+    ///
+    /// # Safety
+    /// No other executor may read or write the slice concurrently: the
+    /// launcher poisons only after every block of the launch completed.
+    pub unsafe fn poison(&self, seed: u64, value: T)
+    where
+        T: Copy,
+    {
+        if self.len == 0 {
+            return;
+        }
+        for i in 0..3u64 {
+            let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^= z >> 31;
+            // SAFETY: the caller guarantees exclusive access (see above).
+            unsafe { self.write(z as usize % self.len, value) };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -128,5 +151,16 @@ mod tests {
             assert_eq!(s.read(3), 7.25);
             assert_eq!(s.read(0), 1.5);
         }
+    }
+
+    #[test]
+    fn poison_positions_are_pinned_and_empty_is_a_no_op() {
+        let mut data = vec![0u32; 1000];
+        unsafe { SyncUnsafeSlice::new(&mut data).poison(42, 7) };
+        let hit: Vec<usize> = (0..data.len()).filter(|&i| data[i] == 7).collect();
+        assert_eq!(hit, [279, 485, 791]);
+        let mut empty: Vec<u32> = Vec::new();
+        unsafe { SyncUnsafeSlice::new(&mut empty).poison(42, 7) };
+        assert!(empty.is_empty());
     }
 }
