@@ -10,14 +10,10 @@
 //! to unstructured pruning at the same parameter budget).
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{block, Matrix};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     block_size: usize,
     sparsity: f64,
@@ -26,6 +22,22 @@ struct Point {
     magnitude_retention: f64,
     /// Throughput x retention: a crude "useful throughput per unit quality".
     quality_weighted_tflops: f64,
+}
+
+impl Point {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("block_size", Json::from(self.block_size)),
+            ("sparsity", Json::from(self.sparsity)),
+            ("time_us", Json::from(self.time_us)),
+            ("tflops", Json::from(self.tflops)),
+            ("magnitude_retention", Json::from(self.magnitude_retention)),
+            (
+                "quality_weighted_tflops",
+                Json::from(self.quality_weighted_tflops),
+            ),
+        ])
+    }
 }
 
 fn main() {
@@ -125,5 +137,8 @@ fn main() {
         }
     }
     println!("\nThe paper's tradeoff, quantified: structure buys speed and sells model quality.");
-    write_json("ext_block_sparse", &points);
+    write_json(
+        "ext_block_sparse",
+        &Json::Arr(points.iter().map(Point::to_json).collect()),
+    );
 }

@@ -7,12 +7,10 @@
 //! a grid of SpMM variants (the oracle) and compare the heuristic's pick.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::dataset;
 use sputnik::SpmmConfig;
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, write_json, Json, Table};
 
-#[derive(Serialize)]
 struct Entry {
     layer: String,
     m: usize,
@@ -24,6 +22,22 @@ struct Entry {
     /// heuristic time / oracle time (1.0 = heuristic found the best variant).
     gap: f64,
     oracle_tag: String,
+}
+
+impl Entry {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("layer", Json::from(self.layer.as_str())),
+            ("m", Json::from(self.m)),
+            ("k", Json::from(self.k)),
+            ("n", Json::from(self.n)),
+            ("sparsity", Json::from(self.sparsity)),
+            ("heuristic_us", Json::from(self.heuristic_us)),
+            ("oracle_us", Json::from(self.oracle_us)),
+            ("gap", Json::from(self.gap)),
+            ("oracle_tag", Json::from(self.oracle_tag.as_str())),
+        ])
+    }
 }
 
 /// The variant grid the oracle searches.
@@ -125,5 +139,8 @@ fn main() {
         gaps.iter().cloned().fold(0.0f64, f64::max)
     );
     println!("(The paper used an oracle for four MobileNet layers for the same reason.)");
-    write_json("ext_heuristic_study", &entries);
+    write_json(
+        "ext_heuristic_study",
+        &Json::Arr(entries.iter().map(Entry::to_json).collect()),
+    );
 }

@@ -12,20 +12,28 @@
 //! * **ASpT** — reordered tiling (where its shape constraints allow).
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{gen, stats};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     achieved_cov: f64,
     natural_us: f64,
     swizzle_us: f64,
     nnz_split_us: f64,
     aspt_us: Option<f64>,
+}
+
+impl Point {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("achieved_cov", Json::from(self.achieved_cov)),
+            ("natural_us", Json::from(self.natural_us)),
+            ("swizzle_us", Json::from(self.swizzle_us)),
+            ("nnz_split_us", Json::from(self.nnz_split_us)),
+            ("aspt_us", Json::from(self.aspt_us)),
+        ])
+    }
 }
 
 fn main() {
@@ -98,5 +106,8 @@ fn main() {
         last.achieved_cov, last.natural_us, last.swizzle_us, last.nnz_split_us
     );
     println!("The swizzle gets balanced-case speed AND imbalance tolerance — Section V-C's pitch.");
-    write_json("ext_load_balancing", &points);
+    write_json(
+        "ext_load_balancing",
+        &Json::Arr(points.iter().map(Point::to_json).collect()),
+    );
 }

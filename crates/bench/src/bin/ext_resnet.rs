@@ -7,7 +7,7 @@
 
 use dnn::resnet;
 use gpu_sim::Gpu;
-use sputnik_bench::{write_json, Table};
+use sputnik_bench::{write_json, Json, Table};
 
 fn main() {
     let gpu = Gpu::v100();
@@ -57,5 +57,18 @@ fn main() {
         d.weight_bytes as f64 / s90.weight_bytes as f64
     );
     println!("(Amdahl: the dense stem/shortcuts/classifier bound the end-to-end gain.)");
-    write_json("ext_resnet", &results);
+    let record = results.iter().map(|r| {
+        Json::obj([
+            ("sparse", Json::from(r.sparse)),
+            ("sparsity", Json::from(r.sparsity)),
+            ("inference_us", Json::from(r.inference_us)),
+            ("frames_per_second", Json::from(r.frames_per_second)),
+            ("dense_layer_us", Json::from(r.dense_layer_us)),
+            ("sparse_layer_us", Json::from(r.sparse_layer_us)),
+            ("classifier_us", Json::from(r.classifier_us)),
+            ("weight_bytes", Json::from(r.weight_bytes)),
+            ("total_macs", Json::from(r.total_macs)),
+        ])
+    });
+    write_json("ext_resnet", &Json::Arr(record.collect()));
 }

@@ -11,14 +11,10 @@
 //!   (`CsrMatrix::padded_to_multiple`), paying extra nonzeros and memory.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{gen, IndexWidth};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Entry {
     label: String,
     sparsity: f64,
@@ -27,6 +23,23 @@ struct Entry {
     padded_us: f64,
     padding_overhead_pct: f64,
     extra_bytes: i64,
+}
+
+impl Entry {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", Json::from(self.label.as_str())),
+            ("sparsity", Json::from(self.sparsity)),
+            ("scalar_us", Json::from(self.scalar_us)),
+            ("roma_us", Json::from(self.roma_us)),
+            ("padded_us", Json::from(self.padded_us)),
+            (
+                "padding_overhead_pct",
+                Json::from(self.padding_overhead_pct),
+            ),
+            ("extra_bytes", Json::from(self.extra_bytes as f64)),
+        ])
+    }
 }
 
 fn main() {
@@ -126,5 +139,8 @@ fn main() {
          \"ROMA does not change the amount of work done by each thread block\""
     );
     println!("...but padding mutates the data structure, costs memory, and fails on dense rows.");
-    write_json("ext_roma_study", &entries);
+    write_json(
+        "ext_roma_study",
+        &Json::Arr(entries.iter().map(Entry::to_json).collect()),
+    );
 }

@@ -8,24 +8,9 @@
 //! dense equivalent (three GEMMs + elementwise update), across sparsities.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::gen;
 use sputnik::{CachedTranspose, SddmmConfig, SpmmConfig};
-use sputnik_bench::{has_flag, write_json, Table};
-
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct Point {
-    sparsity: f64,
-    fwd_us: f64,
-    dw_us: f64,
-    dx_us: f64,
-    update_us: f64,
-    sparse_total_us: f64,
-    dense_total_us: f64,
-    speedup: f64,
-}
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
 fn main() {
     let gpu = Gpu::v100();
@@ -55,6 +40,7 @@ fn main() {
         ],
     );
     let mut points = Vec::new();
+    let mut crossover = None;
     for &s in &[0.5, 0.7, 0.8, 0.9, 0.95, 0.98] {
         let w = gen::uniform(m, k, s, 0x7a11 + (s * 100.0) as u64);
         let fwd =
@@ -78,25 +64,27 @@ fn main() {
             format!("{dense_total_us:.0}"),
             format!("{speedup:.2}x"),
         ]);
-        points.push(Point {
-            sparsity: s,
-            fwd_us: fwd,
-            dw_us: dw,
-            dx_us: dx,
-            update_us: update,
-            sparse_total_us: sparse_total,
-            dense_total_us,
-            speedup,
-        });
+        if speedup > 1.0 && crossover.is_none() {
+            crossover = Some(s);
+        }
+        points.push(Json::obj([
+            ("sparsity", Json::from(s)),
+            ("fwd_us", Json::from(fwd)),
+            ("dw_us", Json::from(dw)),
+            ("dx_us", Json::from(dx)),
+            ("update_us", Json::from(update)),
+            ("sparse_total_us", Json::from(sparse_total)),
+            ("dense_total_us", Json::from(dense_total_us)),
+            ("speedup", Json::from(speedup)),
+        ]));
     }
     table.print();
 
-    let crossover = points.iter().find(|p| p.speedup > 1.0).map(|p| p.sparsity);
     println!(
         "training crossover: sparse step beats dense at sparsity {}",
         crossover.map_or("beyond 0.98".into(), |s| format!("{s:.2}"))
     );
     println!("(Higher than the inference crossover of Figure 1 — the backward pass adds");
     println!(" an SDDMM and a transposed SpMM, both harder than the forward SpMM.)");
-    write_json("ext_training", &points);
+    write_json("ext_training", &Json::Arr(points));
 }

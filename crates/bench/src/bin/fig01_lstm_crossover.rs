@@ -7,19 +7,8 @@
 //! ~14x fewer nonzeros for the same performance.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::gen;
-use sputnik_bench::{has_flag, write_json, Table};
-
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct Point {
-    sparsity: f64,
-    sputnik_us: f64,
-    cusparse_us: f64,
-    dense_us: f64,
-}
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
 fn main() {
     let gpu = Gpu::v100();
@@ -67,12 +56,12 @@ fn main() {
             format!("{:.1}", dense_us),
             format!("{:.2}x", dense_us / ours),
         ]);
-        points.push(Point {
-            sparsity: s,
-            sputnik_us: ours,
-            cusparse_us: cusp,
-            dense_us,
-        });
+        points.push(Json::obj([
+            ("sparsity", Json::from(s)),
+            ("sputnik_us", Json::from(ours)),
+            ("cusparse_us", Json::from(cusp)),
+            ("dense_us", Json::from(dense_us)),
+        ]));
     }
 
     table.print();
@@ -84,5 +73,5 @@ fn main() {
         "cuSPARSE overtakes dense at sparsity {} (paper: needs ~14x fewer nonzeros)",
         cusparse_crossover.map_or(">0.99 (never in range)".into(), |s| format!("{s:.2}"))
     );
-    write_json("fig01_lstm_crossover", &points);
+    write_json("fig01_lstm_crossover", &Json::Arr(points));
 }

@@ -5,12 +5,10 @@
 //! Paper anchors: "deep learning matrices are 13.4x less sparse, have 2.3x
 //! longer rows, and have 25x less variation in row length within a matrix."
 
-use serde::Serialize;
 use sparse::dataset;
 use sparse::stats::{matrix_stats, mean};
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
-#[derive(Serialize)]
 struct CorpusSummary {
     corpus: String,
     matrices: usize,
@@ -18,6 +16,22 @@ struct CorpusSummary {
     mean_nonzero_fraction: f64,
     mean_avg_row_length: f64,
     mean_row_cov: f64,
+}
+
+impl CorpusSummary {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("corpus", Json::from(self.corpus.as_str())),
+            ("matrices", Json::from(self.matrices)),
+            ("mean_sparsity", Json::from(self.mean_sparsity)),
+            (
+                "mean_nonzero_fraction",
+                Json::from(self.mean_nonzero_fraction),
+            ),
+            ("mean_avg_row_length", Json::from(self.mean_avg_row_length)),
+            ("mean_row_cov", Json::from(self.mean_row_cov)),
+        ])
+    }
 }
 
 fn summarize(name: &str, stats: &[sparse::MatrixStats]) -> CorpusSummary {
@@ -84,5 +98,8 @@ fn main() {
     println!("DL matrices have {row_len_ratio:.1}x longer rows (paper: 2.3x)");
     println!("DL matrices have {cov_ratio:.1}x less row-length variation (paper: 25x)");
 
-    write_json("fig02_matrix_stats", &vec![dl, sci]);
+    write_json(
+        "fig02_matrix_stats",
+        &Json::Arr(vec![dl.to_json(), sci.to_json()]),
+    );
 }

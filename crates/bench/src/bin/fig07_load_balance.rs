@@ -8,20 +8,9 @@
 //! retains 96.5%; the average CoV of DNN matrices (~0.3) is marked.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{gen, stats};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
-
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct Point {
-    target_cov: f64,
-    achieved_cov: f64,
-    swizzle_pct: f64,
-    standard_pct: f64,
-}
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
 fn main() {
     let gpu = Gpu::v100();
@@ -53,6 +42,7 @@ fn main() {
         ],
     );
     let mut points = Vec::new();
+    let mut last = (0.0, 0.0);
     for &cov in &covs {
         let a = gen::with_cov(m, k, sparsity, cov, 0x7fb1 + (cov * 100.0) as u64);
         let achieved = stats::matrix_stats(&a).row_cov;
@@ -75,20 +65,19 @@ fn main() {
             format!("{swizzle_pct:.1}%"),
             format!("{standard_pct:.1}%"),
         ]);
-        points.push(Point {
-            target_cov: cov,
-            achieved_cov: achieved,
-            swizzle_pct,
-            standard_pct,
-        });
+        last = (swizzle_pct, standard_pct);
+        points.push(Json::obj([
+            ("target_cov", Json::from(cov)),
+            ("achieved_cov", Json::from(achieved)),
+            ("swizzle_pct", Json::from(swizzle_pct)),
+            ("standard_pct", Json::from(standard_pct)),
+        ]));
     }
     table.print();
     println!("(100% = throughput on a perfectly balanced matrix; DNN average CoV ~0.3)");
-    if let Some(last) = points.last() {
-        println!(
-            "At the highest imbalance: swizzle retains {:.1}% (paper: 96.5%), standard {:.1}% (paper: 47.5%)",
-            last.swizzle_pct, last.standard_pct
-        );
-    }
-    write_json("fig07_load_balance", &points);
+    println!(
+        "At the highest imbalance: swizzle retains {:.1}% (paper: 96.5%), standard {:.1}% (paper: 47.5%)",
+        last.0, last.1
+    );
+    write_json("fig07_load_balance", &Json::Arr(points));
 }

@@ -11,15 +11,11 @@
 //! 93.34% / 99.7% of problems.
 
 use gpu_sim::{Gpu, LaunchCache};
-use serde::Serialize;
 use sparse::dataset;
 use sparse::Half;
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, write_json, Json, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct ProblemResult {
     layer: String,
     m: usize,
@@ -36,6 +32,37 @@ struct ProblemResult {
     spmm_f16_us: f64,
     spmm_f16_cusparse_us: f64,
     spmm_f16_tflops: f64,
+}
+
+impl ProblemResult {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("layer", Json::from(self.layer.as_str())),
+            ("m", Json::from(self.m)),
+            ("k", Json::from(self.k)),
+            ("n", Json::from(self.n)),
+            ("sparsity", Json::from(self.sparsity)),
+            ("flops", Json::from(self.flops)),
+            ("spmm_f32_us", Json::from(self.spmm_f32_us)),
+            (
+                "spmm_f32_cusparse_us",
+                Json::from(self.spmm_f32_cusparse_us),
+            ),
+            ("spmm_f32_tflops", Json::from(self.spmm_f32_tflops)),
+            ("sddmm_f32_us", Json::from(self.sddmm_f32_us)),
+            (
+                "sddmm_f32_cusparse_us",
+                Json::from(self.sddmm_f32_cusparse_us),
+            ),
+            ("sddmm_f32_tflops", Json::from(self.sddmm_f32_tflops)),
+            ("spmm_f16_us", Json::from(self.spmm_f16_us)),
+            (
+                "spmm_f16_cusparse_us",
+                Json::from(self.spmm_f16_cusparse_us),
+            ),
+            ("spmm_f16_tflops", Json::from(self.spmm_f16_tflops)),
+        ])
+    }
 }
 
 fn percent_wins(ratios: &[f64]) -> f64 {
@@ -224,5 +251,8 @@ fn main() {
         cache.misses(),
         3 * results.len()
     );
-    write_json("fig09_dataset_benchmark", &results);
+    write_json(
+        "fig09_dataset_benchmark",
+        &Json::Arr(results.iter().map(ProblemResult::to_json).collect()),
+    );
 }

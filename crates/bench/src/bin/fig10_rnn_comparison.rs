@@ -10,12 +10,10 @@
 
 use dnn::rnn;
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::IndexWidth;
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, write_json, Json, Table};
 
-#[derive(Serialize)]
 struct RnnResult {
     label: String,
     // SpMM times (us)
@@ -30,6 +28,27 @@ struct RnnResult {
     sddmm_cusparse_us: f64,
     aspt_memory_bytes: u64,
     sputnik_memory_bytes: u64,
+}
+
+impl RnnResult {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", Json::from(self.label.as_str())),
+            ("sputnik_us", Json::from(self.sputnik_us)),
+            ("merge_us", Json::from(self.merge_us)),
+            ("aspt_us", Json::from(self.aspt_us)),
+            ("cusparse_us", Json::from(self.cusparse_us)),
+            ("scalar_us", Json::from(self.scalar_us)),
+            ("sddmm_sputnik_us", Json::from(self.sddmm_sputnik_us)),
+            ("sddmm_aspt_us", Json::from(self.sddmm_aspt_us)),
+            ("sddmm_cusparse_us", Json::from(self.sddmm_cusparse_us)),
+            ("aspt_memory_bytes", Json::from(self.aspt_memory_bytes)),
+            (
+                "sputnik_memory_bytes",
+                Json::from(self.sputnik_memory_bytes),
+            ),
+        ])
+    }
 }
 
 fn main() {
@@ -175,5 +194,8 @@ fn main() {
         "3x".into(),
     ]);
     summary.print();
-    write_json("fig10_rnn_comparison", &results);
+    write_json(
+        "fig10_rnn_comparison",
+        &Json::Arr(results.iter().map(RnnResult::to_json).collect()),
+    );
 }

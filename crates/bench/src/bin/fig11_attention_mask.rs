@@ -4,22 +4,8 @@
 //! causal (lower-triangular) constraint. Rendered as a coarse ASCII density
 //! map plus the mask's summary statistics.
 
-use serde::Serialize;
 use sparse::gen;
-use sputnik_bench::{has_flag, write_json, Table};
-
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct MaskSummary {
-    seq: usize,
-    band: usize,
-    off_diag_sparsity: f64,
-    nnz: usize,
-    overall_sparsity: f64,
-    avg_row_len: f64,
-    max_row_len: usize,
-}
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
 fn main() {
     let (seq, band) = if has_flag("--full") {
@@ -56,27 +42,24 @@ fn main() {
     }
 
     let stats = sparse::matrix_stats(&mask);
-    let summary = MaskSummary {
-        seq,
-        band,
-        off_diag_sparsity: off,
-        nnz: mask.nnz(),
-        overall_sparsity: stats.sparsity,
-        avg_row_len: stats.avg_row_length,
-        max_row_len: mask.max_row_len(),
-    };
     let mut t = Table::new("mask statistics", &["metric", "value"]);
-    t.row(&["tokens".into(), summary.seq.to_string()]);
-    t.row(&["nonzeros".into(), summary.nnz.to_string()]);
-    t.row(&[
-        "overall sparsity".into(),
-        format!("{:.4}", summary.overall_sparsity),
-    ]);
+    t.row(&["tokens".into(), seq.to_string()]);
+    t.row(&["nonzeros".into(), mask.nnz().to_string()]);
+    t.row(&["overall sparsity".into(), format!("{:.4}", stats.sparsity)]);
     t.row(&[
         "avg row length".into(),
-        format!("{:.1}", summary.avg_row_len),
+        format!("{:.1}", stats.avg_row_length),
     ]);
-    t.row(&["max row length".into(), summary.max_row_len.to_string()]);
+    t.row(&["max row length".into(), mask.max_row_len().to_string()]);
     t.print();
+    let summary = Json::obj([
+        ("seq", Json::from(seq)),
+        ("band", Json::from(band)),
+        ("off_diag_sparsity", Json::from(off)),
+        ("nnz", Json::from(mask.nnz())),
+        ("overall_sparsity", Json::from(stats.sparsity)),
+        ("avg_row_len", Json::from(stats.avg_row_length)),
+        ("max_row_len", Json::from(mask.max_row_len())),
+    ]);
     write_json("fig11_attention_mask", &summary);
 }

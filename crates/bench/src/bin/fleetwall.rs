@@ -50,7 +50,7 @@ use serve::{
     attention_topologies, generate, run_fleet, ArrivalProcess, Request, ServePolicy, TrafficConfig,
 };
 use sputnik::spmm_row_sharded;
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::{gate, has_flag, Json, Table};
 
 const DEVICES: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 0xF1EE7;
@@ -84,19 +84,21 @@ fn tabulate(table: &mut Table, problem: &str, strategy: ShardStrategy, points: &
     }
 }
 
-/// Flat JSON lines for one sweep: `<prefix>_{eff,makespan_us,mb,transfers,identical}_d<D>`.
-fn emit_points(json: &mut String, prefix: &str, points: &[ScalingPoint]) {
+/// Flat record fields for one sweep:
+/// `<prefix>_{eff,makespan_us,transfer_bytes,transfers,identical}_d<D>`.
+fn point_fields(prefix: &str, points: &[ScalingPoint]) -> Vec<(String, Json)> {
+    let mut fields = Vec::new();
     for p in points {
-        json.push_str(&format!(
-            "  \"{prefix}_eff_d{d}\": {:.6},\n  \"{prefix}_makespan_us_d{d}\": {:.3},\n  \"{prefix}_transfer_bytes_d{d}\": {},\n  \"{prefix}_transfers_d{d}\": {},\n  \"{prefix}_identical_d{d}\": {},\n",
-            p.efficiency,
-            p.makespan_us,
-            p.transfer_bytes,
-            p.transfers,
-            u64::from(p.bit_identical),
-            d = p.devices,
-        ));
+        let at = |name: &str, v: Json| (format!("{prefix}_{name}_d{}", p.devices), v);
+        fields.extend([
+            at("eff", Json::fixed(p.efficiency, 6)),
+            at("makespan_us", Json::fixed(p.makespan_us, 3)),
+            at("transfer_bytes", Json::from(p.transfer_bytes)),
+            at("transfers", Json::from(p.transfers)),
+            at("identical", Json::from(u64::from(p.bit_identical))),
+        ]);
     }
+    fields
 }
 
 fn burst_traffic(n: usize) -> Vec<Request> {
@@ -194,77 +196,57 @@ fn main() {
         check.events, check.tracks, check.launches, check.counters
     );
 
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"fleetwall\",\n");
-    json.push_str(&format!(
-        "  \"seq\": {seq},\n  \"d_head\": {d_head},\n  \"band\": {band},\n  \"tf_nnz\": {},\n  \"mb_nnz\": {},\n",
-        tf.a.nnz(),
-        mb.a.nnz()
-    ));
-    emit_points(&mut json, "tf_row", &tf_row);
-    emit_points(&mut json, "tf_ksplit", &tf_ks);
-    emit_points(&mut json, "mb_row", &mb_row);
-    json.push_str(&format!("  \"identical_all\": {identical_all},\n"));
-    json.push_str(&format!(
-        "  \"serve_p99_us_1dev\": {:.3},\n  \"serve_p99_us_2dev\": {:.3},\n  \"serve_p99_ratio\": {:.6},\n",
-        one.latency.p99(),
-        two.latency.p99(),
-        serve_ratio
-    ));
-    json.push_str(&format!(
-        "  \"trace_events\": {},\n  \"trace_tracks\": {},\n  \"trace_counters\": {},\n  \"trace_ok\": {trace_ok}\n}}\n",
-        check.events, check.tracks, check.counters
-    ));
-    let out = "BENCH_fleetwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
+    let field = |k: &str, v: Json| (k.to_string(), v);
+    let mut record = vec![
+        field("bench", Json::from("fleetwall")),
+        field("seq", Json::from(seq)),
+        field("d_head", Json::from(d_head)),
+        field("band", Json::from(band)),
+        field("tf_nnz", Json::from(tf.a.nnz())),
+        field("mb_nnz", Json::from(mb.a.nnz())),
+    ];
+    record.extend(point_fields("tf_row", &tf_row));
+    record.extend(point_fields("tf_ksplit", &tf_ks));
+    record.extend(point_fields("mb_row", &mb_row));
+    record.extend([
+        field("identical_all", Json::from(identical_all)),
+        field("serve_p99_us_1dev", Json::fixed(one.latency.p99(), 3)),
+        field("serve_p99_us_2dev", Json::fixed(two.latency.p99(), 3)),
+        field("serve_p99_ratio", Json::fixed(serve_ratio, 6)),
+        field("trace_events", Json::from(check.events)),
+        field("trace_tracks", Json::from(check.tracks)),
+        field("trace_counters", Json::from(check.counters)),
+        field("trace_ok", Json::from(trace_ok)),
+    ]);
 
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
+    gate::write_and_check("BENCH_fleetwall.json", &Json::Obj(record), |base| {
         let eff4 = point(&tf_row, 4).efficiency;
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The headline target: row sharding the big transformer
-            // workload must stay >= 70% efficient on 4 devices — an
-            // absolute floor, then a 5%-slack comparison against the
-            // committed curve to catch slow drift below it.
-            gate::require_not_below("tf_row_eff_d4", 0.70, eff4, 1.0)?;
-            gate::require_not_below(
-                "tf_row_eff_d4",
-                gate::metric_f64(&base, "tf_row_eff_d4", &baseline_path)?,
-                eff4,
-                0.95,
-            )?;
-            // Bit identity is binary: every point of every sweep, warm and
-            // cold, matches the single-GPU kernel exactly.
-            gate::require_exact("identical_all", 1, identical_all)?;
-            // Multi-device runs must actually cross the interconnect.
-            for (prefix, points) in [
-                ("tf_row", &tf_row),
-                ("tf_ksplit", &tf_ks),
-                ("mb_row", &mb_row),
-            ] {
-                for p in points.iter().filter(|p| p.devices > 1) {
-                    let name = format!("{prefix}_transfers_d{}", p.devices);
-                    gate::require_nonzero(&name, p.transfers)?;
-                    let name = format!("{prefix}_transfer_bytes_d{}", p.devices);
-                    gate::require_nonzero(&name, p.transfer_bytes)?;
-                }
-            }
-            // Two devices never serve a worse tail than one at fixed load.
-            gate::require_not_above("serve_p99_ratio", 1.0, serve_ratio, 1.0)?;
-            // The exported fleet trace stays valid and populated.
-            gate::require_exact("trace_ok", 1, trace_ok)?;
-            gate::require_nonzero("trace_events", check.events as u64)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
+        // The headline target: row sharding the big transformer
+        // workload must stay >= 70% efficient on 4 devices — an
+        // absolute floor, then a 5%-slack comparison against the
+        // committed curve to catch slow drift below it.
+        gate::require_not_below("tf_row_eff_d4", 0.70, eff4, 1.0)?;
+        gate::require_not_below("tf_row_eff_d4", base.f64("tf_row_eff_d4")?, eff4, 0.95)?;
+        // Bit identity is binary: every point of every sweep, warm and
+        // cold, matches the single-GPU kernel exactly.
+        gate::require_exact("identical_all", 1, identical_all)?;
+        // Multi-device runs must actually cross the interconnect.
+        for (prefix, points) in [
+            ("tf_row", &tf_row),
+            ("tf_ksplit", &tf_ks),
+            ("mb_row", &mb_row),
+        ] {
+            for p in points.iter().filter(|p| p.devices > 1) {
+                let name = format!("{prefix}_transfers_d{}", p.devices);
+                gate::require_nonzero(&name, p.transfers)?;
+                let name = format!("{prefix}_transfer_bytes_d{}", p.devices);
+                gate::require_nonzero(&name, p.transfer_bytes)?;
             }
         }
-    }
+        // Two devices never serve a worse tail than one at fixed load.
+        gate::require_not_above("serve_p99_ratio", 1.0, serve_ratio, 1.0)?;
+        // The exported fleet trace stays valid and populated.
+        gate::require_exact("trace_ok", 1, trace_ok)?;
+        gate::require_nonzero("trace_events", check.events as u64)
+    });
 }

@@ -28,7 +28,7 @@
 use gpu_sim::{Gpu, LaunchCache};
 use sparse::{gen, BsrMatrix, EllMatrix, Matrix};
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::{gate, has_flag, Json, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -349,53 +349,50 @@ fn main() {
     } else {
         "default"
     };
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let json = format!(
-        "{{\n  \"bench\": \"funcwall\",\n  \"grid\": \"{grid}\",\n  \"reps\": {reps},\n  \"launches\": {launches},\n  \"cold_ms\": {cold_ms:.3},\n  \"functional_gflops\": {gflops:.3},\n  \"allocs_per_launch\": {allocs_per_launch:.3},\n  \"replay_ms\": {replay_ms:.3},\n  \"replay_launches\": {replay_launches},\n  \"replay_allocs_per_launch\": {replay_allocs_per_launch:.4},\n  \"arena_checkouts\": {checkouts},\n  \"arena_pool_misses\": {pool_misses},\n  \"arena_miss_per_checkout\": {miss_per_checkout:.6}\n}}\n",
-    );
-    let out = "BENCH_funcwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
+    let record = Json::obj([
+        ("bench", Json::from("funcwall")),
+        ("grid", Json::from(grid)),
+        ("reps", Json::from(reps)),
+        ("launches", Json::from(launches)),
+        ("cold_ms", Json::fixed(cold_ms, 3)),
+        ("functional_gflops", Json::fixed(gflops, 3)),
+        ("allocs_per_launch", Json::fixed(allocs_per_launch, 3)),
+        ("replay_ms", Json::fixed(replay_ms, 3)),
+        ("replay_launches", Json::from(replay_launches)),
+        (
+            "replay_allocs_per_launch",
+            Json::fixed(replay_allocs_per_launch, 4),
+        ),
+        ("arena_checkouts", Json::from(checkouts)),
+        ("arena_pool_misses", Json::from(pool_misses)),
+        ("arena_miss_per_checkout", Json::fixed(miss_per_checkout, 6)),
+    ]);
     // CI gate on the machine-independent metrics.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // Cold-path allocations per launch: kernel construction and
-            // output buffers are expected; a jump means staging buffers
-            // started round-tripping the heap again. 25% headroom for
-            // allocator/runtime noise.
-            gate::require_not_above(
-                "allocs_per_launch",
-                gate::metric_f64(&base, "allocs_per_launch", &baseline_path)?,
-                allocs_per_launch,
-                1.25,
-            )?;
-            // The warm replay path must stay allocation-free per launch
-            // (the committed baseline is 0; any headroom would defeat it).
-            gate::require_not_above(
-                "replay_allocs_per_launch",
-                gate::metric_f64(&base, "replay_allocs_per_launch", &baseline_path)?,
-                replay_allocs_per_launch,
-                1.0,
-            )?;
-            // The arena must keep serving checkouts from the pool.
-            gate::require_not_above(
-                "arena_miss_per_checkout",
-                gate::metric_f64(&base, "arena_miss_per_checkout", &baseline_path)?.max(0.000_05),
-                miss_per_checkout,
-                2.0,
-            )?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate::write_and_check("BENCH_funcwall.json", &record, |base| {
+        // Cold-path allocations per launch: kernel construction and
+        // output buffers are expected; a jump means staging buffers
+        // started round-tripping the heap again. 25% headroom for
+        // allocator/runtime noise.
+        gate::require_not_above(
+            "allocs_per_launch",
+            base.f64("allocs_per_launch")?,
+            allocs_per_launch,
+            1.25,
+        )?;
+        // The warm replay path must stay allocation-free per launch
+        // (the committed baseline is 0; any headroom would defeat it).
+        gate::require_not_above(
+            "replay_allocs_per_launch",
+            base.f64("replay_allocs_per_launch")?,
+            replay_allocs_per_launch,
+            1.0,
+        )?;
+        // The arena must keep serving checkouts from the pool.
+        gate::require_not_above(
+            "arena_miss_per_checkout",
+            base.f64("arena_miss_per_checkout")?.max(0.000_05),
+            miss_per_checkout,
+            2.0,
+        )
+    });
 }

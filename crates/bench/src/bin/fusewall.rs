@@ -38,7 +38,7 @@ use sputnik::{
     attention_configs, sparse_attention_fused, sparse_attention_fused_profile,
     sparse_attention_unfused,
 };
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::{gate, has_flag, Json, Table};
 
 const SEED: u64 = 0xF05E;
 const BAND: usize = 128;
@@ -173,68 +173,56 @@ fn main() {
         .find(|p| p.seq == 4096)
         .map_or(0.0, |p| p.speedup);
 
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"fusewall\",\n");
-    json.push_str(&format!(
-        "  \"band\": {BAND},\n  \"off_diag_sparsity\": {OFF_DIAG_SPARSITY},\n  \"d_head\": {D_HEAD},\n"
-    ));
+    let field = |k: &str, v: Json| (k.to_string(), v);
+    let mut record = vec![
+        field("bench", Json::from("fusewall")),
+        field("band", Json::from(BAND)),
+        field("off_diag_sparsity", Json::from(OFF_DIAG_SPARSITY)),
+        field("d_head", Json::from(D_HEAD)),
+    ];
     for p in &points {
-        json.push_str(&format!(
-            "  \"nnz_seq{s}\": {},\n  \"staging_bytes_seq{s}\": {},\n  \"fused_seq{s}\": {},\n  \"unfused_us_seq{s}\": {:.3},\n  \"fused_us_seq{s}\": {:.3},\n  \"speedup_seq{s}\": {:.6},\n  \"bit_identical_seq{s}\": {},\n  \"replay_hits_seq{s}\": {},\n",
-            p.nnz,
-            p.staging_bytes,
-            u64::from(p.fused),
-            p.unfused_us,
-            p.fused_us,
-            p.speedup,
-            u64::from(p.bit_identical),
-            p.replay_hits,
-            s = p.seq,
-        ));
+        let s = p.seq;
+        let at = |name: &str, v: Json| (format!("{name}_seq{s}"), v);
+        record.extend([
+            at("nnz", Json::from(p.nnz)),
+            at("staging_bytes", Json::from(p.staging_bytes)),
+            at("fused", Json::from(u64::from(p.fused))),
+            at("unfused_us", Json::fixed(p.unfused_us, 3)),
+            at("fused_us", Json::fixed(p.fused_us, 3)),
+            at("speedup", Json::fixed(p.speedup, 6)),
+            at("bit_identical", Json::from(u64::from(p.bit_identical))),
+            at("replay_hits", Json::from(p.replay_hits)),
+        ]);
     }
-    json.push_str(&format!(
-        "  \"bit_identical_all\": {bit_identical_all},\n  \"all_fused\": {all_fused},\n  \"replay_cache_hits\": {replay_hits},\n"
-    ));
-    json.push_str(&format!(
-        "  \"trace_events\": {},\n  \"trace_launches\": {},\n  \"trace_ok\": {trace_ok}\n}}\n",
-        check.events, check.launches
-    ));
-    let out = "BENCH_fusewall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
+    record.extend([
+        field("bit_identical_all", Json::from(bit_identical_all)),
+        field("all_fused", Json::from(all_fused)),
+        field("replay_cache_hits", Json::from(replay_hits)),
+        field("trace_events", Json::from(check.events)),
+        field("trace_launches", Json::from(check.launches)),
+        field("trace_ok", Json::from(trace_ok)),
+    ]);
 
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The headline target: at the paper's long-sequence regime the
-            // fused pipeline must beat three launches by >= 1.3x — an
-            // absolute floor, then a 5%-slack drift check vs the committed
-            // baseline.
-            gate::require_not_below("speedup_seq4096", 1.30, speedup_4096, 1.0)?;
-            gate::require_not_below(
-                "speedup_seq4096",
-                gate::metric_f64(&base, "speedup_seq4096", &baseline_path)?,
-                speedup_4096,
-                0.95,
-            )?;
-            // The planner must take the fused path at every band-mask point.
-            gate::require_exact("all_fused", 1, all_fused)?;
-            // Fusion is bit-invisible, at every point, or it does not ship.
-            gate::require_exact("bit_identical_all", 1, bit_identical_all)?;
-            // Replayed fused layers are served from the LaunchCache.
-            gate::require_nonzero("replay_cache_hits", replay_hits)?;
-            // The traced run exports fusion spans as valid Chrome JSON.
-            gate::require_exact("trace_ok", 1, trace_ok)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate::write_and_check("BENCH_fusewall.json", &Json::Obj(record), |base| {
+        // The headline target: at the paper's long-sequence regime the
+        // fused pipeline must beat three launches by >= 1.3x — an
+        // absolute floor, then a 5%-slack drift check vs the committed
+        // baseline.
+        gate::require_not_below("speedup_seq4096", 1.30, speedup_4096, 1.0)?;
+        gate::require_not_below(
+            "speedup_seq4096",
+            base.f64("speedup_seq4096")?,
+            speedup_4096,
+            0.95,
+        )?;
+        // The planner must take the fused path at every band-mask point.
+        gate::require_exact("all_fused", 1, all_fused)?;
+        // Fusion is bit-invisible, at every point, or it does not ship.
+        gate::require_exact("bit_identical_all", 1, bit_identical_all)?;
+        // Replayed fused layers are served from the LaunchCache.
+        gate::require_nonzero("replay_cache_hits", replay_hits)?;
+        // The traced run exports fusion spans as valid Chrome JSON.
+        gate::require_exact("trace_ok", 1, trace_ok)?;
+        Ok(())
+    });
 }

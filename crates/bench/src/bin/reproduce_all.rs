@@ -1,13 +1,16 @@
 //! Run every experiment of the paper in sequence (the full reproduction).
 //!
 //! ```bash
+//! cargo build -p sputnik-bench --release --bins                       # the experiment bins
 //! cargo run -p sputnik-bench --release --bin reproduce_all            # default scale
 //! cargo run -p sputnik-bench --release --bin reproduce_all -- --quick # smoke test
 //! ```
 //!
 //! Each experiment binary can also be run individually; this driver simply
-//! executes them in paper order, forwarding `--quick`/`--full`, and writes
-//! all JSON records under `results/`.
+//! executes them in paper order from its own directory, forwarding
+//! `--quick`/`--full`, and writes all JSON records under `results/`.
+//! `cargo run --bin reproduce_all` builds only this driver, so build the
+//! experiment bins first.
 
 use std::process::Command;
 
@@ -81,7 +84,12 @@ fn main() {
         let status = Command::new(exe_dir.join(bin))
             .args(&forward)
             .status()
-            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+            .unwrap_or_else(|e| {
+                panic!(
+                    "failed to spawn {bin}: {e} \
+                     (build it first: cargo build -p sputnik-bench --release --bins)"
+                )
+            });
         if !status.success() {
             eprintln!("!! {bin} exited with {status}");
             failures.push(bin);

@@ -27,7 +27,7 @@ use serve::{
     attention_topologies, generate, run, ArrivalProcess, Request, ServePolicy, ServeReport,
     TrafficConfig,
 };
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::{gate, has_flag, Json, Table};
 
 const SEQ: usize = 256;
 const HEAD_DIM: usize = 64;
@@ -200,72 +200,63 @@ fn main() {
     let fixed = &reports[1];
     let lost = fixed.lost().unsigned_abs();
     let chaos_lost = chaos.lost().unsigned_abs();
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"servewall\",\n");
-    json.push_str(&format!(
-        "  \"seq\": {SEQ},\n  \"head_dim\": {HEAD_DIM},\n  \"requests\": {requests},\n"
-    ));
+    let field = |k: &str, v: Json| (k.to_string(), v);
+    let mut record = vec![
+        field("bench", Json::from("servewall")),
+        field("seq", Json::from(SEQ)),
+        field("head_dim", Json::from(HEAD_DIM)),
+        field("requests", Json::from(requests)),
+    ];
     for (i, r) in reports.iter().enumerate() {
-        json.push_str(&format!(
-            "  \"rate_l{i}\": {:.0},\n  \"served_l{i}\": {},\n  \"shed_l{i}\": {},\n  \"rejected_l{i}\": {},\n  \"p50_us_l{i}\": {:.3},\n  \"p99_us_l{i}\": {:.3},\n  \"goodput_l{i}\": {},\n",
-            rates[i], r.served, r.shed, r.rejected, r.latency.p50(), r.latency.p99(), r.goodput()
-        ));
+        let at = |name: &str, v: Json| (format!("{name}_l{i}"), v);
+        record.extend([
+            at("rate", Json::fixed(rates[i], 0)),
+            at("served", Json::from(r.served)),
+            at("shed", Json::from(r.shed)),
+            at("rejected", Json::from(r.rejected)),
+            at("p50_us", Json::fixed(r.latency.p50(), 3)),
+            at("p99_us", Json::fixed(r.latency.p99(), 3)),
+            at("goodput", Json::from(r.goodput())),
+        ]);
     }
-    json.push_str(&format!(
-        "  \"bursty_served\": {},\n  \"bursty_shed\": {},\n  \"bursty_rejected\": {},\n  \"bursty_p99_us\": {:.3},\n",
-        bursty.served, bursty.shed, bursty.rejected, bursty.latency.p99()
-    ));
-    json.push_str(&format!(
-        "  \"slo_served\": {},\n  \"slo_shed\": {},\n  \"slo_p99_us\": {:.3},\n",
-        slo.served,
-        slo.shed,
-        slo.latency.p99()
-    ));
-    json.push_str(&format!(
-        "  \"offered\": {},\n  \"served\": {},\n  \"lost\": {lost},\n  \"p99_us\": {:.3},\n  \"cache_hits\": {},\n  \"max_queue_depth\": {},\n",
-        fixed.offered, fixed.served, fixed.latency.p99(), fixed.cache_hits, fixed.max_queue_depth
-    ));
-    json.push_str(&format!(
-        "  \"chaos_offered\": {},\n  \"chaos_served\": {},\n  \"chaos_lost\": {chaos_lost},\n  \"chaos_faults\": {},\n  \"chaos_degraded\": {},\n  \"chaos_p99_us\": {:.3}\n}}\n",
-        chaos.offered, chaos.served, chaos.faults_injected, chaos.degraded, chaos.latency.p99()
-    ));
-    let out = "BENCH_servewall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
+    record.extend([
+        field("bursty_served", Json::from(bursty.served)),
+        field("bursty_shed", Json::from(bursty.shed)),
+        field("bursty_rejected", Json::from(bursty.rejected)),
+        field("bursty_p99_us", Json::fixed(bursty.latency.p99(), 3)),
+        field("slo_served", Json::from(slo.served)),
+        field("slo_shed", Json::from(slo.shed)),
+        field("slo_p99_us", Json::fixed(slo.latency.p99(), 3)),
+        field("offered", Json::from(fixed.offered)),
+        field("served", Json::from(fixed.served)),
+        field("lost", Json::from(lost)),
+        field("p99_us", Json::fixed(fixed.latency.p99(), 3)),
+        field("cache_hits", Json::from(fixed.cache_hits)),
+        field("max_queue_depth", Json::from(fixed.max_queue_depth)),
+        field("chaos_offered", Json::from(chaos.offered)),
+        field("chaos_served", Json::from(chaos.served)),
+        field("chaos_lost", Json::from(chaos_lost)),
+        field("chaos_faults", Json::from(chaos.faults_injected)),
+        field("chaos_degraded", Json::from(chaos.degraded)),
+        field("chaos_p99_us", Json::fixed(chaos.latency.p99(), 3)),
+    ]);
 
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // Tail latency at the fixed load point. Simulated and
-            // deterministic, so 5% headroom is generous — it absorbs
-            // intentional cost-model tweaks, not noise.
-            gate::require_not_above(
-                "p99_us",
-                gate::metric_f64(&base, "p99_us", &baseline_path)?,
-                fixed.latency.p99(),
-                1.05,
-            )?;
-            // Conservation, pinned from outside the server.
-            gate::require_exact("lost", 0, lost)?;
-            // Topology-keyed windows must keep hitting the launch cache.
-            gate::require_nonzero("cache_hits", fixed.cache_hits)?;
-            // The tight-SLO point must keep shedding at the door: a zero
-            // here means backpressure stopped firing.
-            gate::require_nonzero("slo_shed", slo.shed)?;
-            // Chaos: faults degrade requests; they never drop them.
-            gate::require_exact("chaos_lost", 0, chaos_lost)?;
-            gate::require_nonzero("chaos_faults", chaos.faults_injected)?;
-            gate::require_nonzero("chaos_degraded", chaos.degraded)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate::write_and_check("BENCH_servewall.json", &Json::Obj(record), |base| {
+        // Tail latency at the fixed load point. Simulated and
+        // deterministic, so 5% headroom is generous — it absorbs
+        // intentional cost-model tweaks, not noise.
+        gate::require_not_above("p99_us", base.f64("p99_us")?, fixed.latency.p99(), 1.05)?;
+        // Conservation, pinned from outside the server.
+        gate::require_exact("lost", 0, lost)?;
+        // Topology-keyed windows must keep hitting the launch cache.
+        gate::require_nonzero("cache_hits", fixed.cache_hits)?;
+        // The tight-SLO point must keep shedding at the door: a zero
+        // here means backpressure stopped firing.
+        gate::require_nonzero("slo_shed", slo.shed)?;
+        // Chaos: faults degrade requests; they never drop them.
+        gate::require_exact("chaos_lost", 0, chaos_lost)?;
+        gate::require_nonzero("chaos_faults", chaos.faults_injected)?;
+        gate::require_nonzero("chaos_degraded", chaos.degraded)?;
+        Ok(())
+    });
 }

@@ -25,7 +25,7 @@
 use gpu_sim::{Gpu, LaunchCache, LaunchSummary};
 use sparse::dataset::{self, ProblemSpec};
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::{gate, has_flag, Json, Table};
 use std::time::Instant;
 
 /// One full sweep over the corpus; returns the accumulated summary.
@@ -132,37 +132,27 @@ fn main() {
     } else {
         "default"
     };
-    // The vendored serde stub cannot serialize, so the record is written by
-    // hand — one flat object, stable key order.
-    let json = format!(
-        "{{\n  \"bench\": \"simwall\",\n  \"grid\": \"{grid}\",\n  \"problems\": {count},\n  \"launches_per_pass\": {launches},\n  \"slowpath_ms\": {slowpath_ms:.3},\n  \"cold_ms\": {cold_ms:.3},\n  \"warm_ms\": {warm_ms:.3},\n  \"cold_warm_speedup\": {cold_warm:.3},\n  \"slowpath_cold_speedup\": {slow_cold:.3},\n  \"cache_hits_warm\": {hits},\n  \"cache_misses_cold\": {misses},\n  \"cache_evictions\": {evictions}\n}}\n",
-        launches = cold.launches,
-        hits = warm.cache_hits,
-        misses = cold.cache_misses,
-        evictions = warm.cache_evictions,
-    );
-    let out = "BENCH_simwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    // CI gate: compare against a committed baseline, if asked.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        match check_regression(&baseline_path, cold_warm) {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    let record = Json::obj([
+        ("bench", Json::from("simwall")),
+        ("grid", Json::from(grid)),
+        ("problems", Json::from(count)),
+        ("launches_per_pass", Json::from(cold.launches)),
+        ("slowpath_ms", Json::fixed(slowpath_ms, 3)),
+        ("cold_ms", Json::fixed(cold_ms, 3)),
+        ("warm_ms", Json::fixed(warm_ms, 3)),
+        ("cold_warm_speedup", Json::fixed(cold_warm, 3)),
+        ("slowpath_cold_speedup", Json::fixed(slow_cold, 3)),
+        ("cache_hits_warm", Json::from(warm.cache_hits)),
+        ("cache_misses_cold", Json::from(cold.cache_misses)),
+        ("cache_evictions", Json::from(warm.cache_evictions)),
+    ]);
+    gate::write_and_check("BENCH_simwall.json", &record, |base| {
+        check_regression(base, cold_warm)
+    });
 }
 
 /// Fail when the cold→warm speedup regressed to below half the baseline's.
-fn check_regression(baseline_path: &str, current_speedup: f64) -> Result<(), String> {
-    let text = gate::read_baseline(baseline_path)?;
-    let baseline = gate::metric_f64(&text, "cold_warm_speedup", baseline_path)?;
+fn check_regression(base: &gate::Baseline, current_speedup: f64) -> Result<(), String> {
+    let baseline = base.f64("cold_warm_speedup")?;
     gate::require_not_below("cold_warm_speedup", baseline, current_speedup, 0.5)
 }

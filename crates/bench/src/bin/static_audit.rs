@@ -36,7 +36,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use gpu_sim::{CheckClass, Gpu, Kernel, Launch, LaunchCache, Launched, Verdict};
-use sputnik_bench::{gate, has_flag, registry, Table};
+use sputnik_bench::{gate, has_flag, registry, Json, Table};
 use std::time::Instant;
 
 /// Per-class verdict tallies, indexed `[class][verdict]`.
@@ -203,85 +203,60 @@ fn main() {
         cached_vs_full * 100.0
     );
 
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"staticwall\",\n");
-    json.push_str(&format!("  \"pairs_total\": {pairs},\n"));
-    json.push_str(&format!("  \"checks_total\": {checks_total},\n"));
+    let field = |k: &str, v: Json| (k.to_string(), v);
+    let mut record = vec![
+        field("bench", Json::from("staticwall")),
+        field("pairs_total", Json::from(pairs)),
+        field("checks_total", Json::from(checks_total)),
+    ];
     for &class in &CheckClass::ALL {
         for (v, tag) in [
             (Verdict::Proven, "proven"),
             (Verdict::NeedsDynamic, "needs_dynamic"),
             (Verdict::Refuted, "refuted"),
         ] {
-            json.push_str(&format!(
-                "  \"{}_{}\": {},\n",
-                class.name(),
-                tag,
-                tally.class(class, v)
-            ));
+            let key = format!("{}_{tag}", class.name());
+            record.push((key, Json::from(tally.class(class, v))));
         }
     }
-    json.push_str(&format!("  \"proven_total\": {proven},\n"));
-    json.push_str(&format!("  \"needs_dynamic_total\": {needs_dynamic},\n"));
-    json.push_str(&format!("  \"refuted_total\": {refuted},\n"));
-    json.push_str(&format!("  \"proven_frac\": {proven_frac:.4},\n"));
-    json.push_str(&format!("  \"audit_ms\": {audit_sweep_ms:.3},\n"));
-    json.push_str(&format!("  \"sanitize_full_ms\": {full_ms:.3},\n"));
-    json.push_str(&format!("  \"sanitize_cached_ms\": {cached_ms:.3},\n"));
-    json.push_str(&format!("  \"audit_vs_full\": {audit_vs_full:.4},\n"));
-    json.push_str(&format!("  \"cached_vs_full\": {cached_vs_full:.4}\n}}\n"));
-    let out = "BENCH_staticwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
+    record.extend([
+        field("proven_total", Json::from(proven)),
+        field("needs_dynamic_total", Json::from(needs_dynamic)),
+        field("refuted_total", Json::from(refuted)),
+        field("proven_frac", Json::fixed(proven_frac, 4)),
+        field("audit_ms", Json::fixed(audit_sweep_ms, 3)),
+        field("sanitize_full_ms", Json::fixed(full_ms, 3)),
+        field("sanitize_cached_ms", Json::fixed(cached_ms, 3)),
+        field("audit_vs_full", Json::fixed(audit_vs_full, 4)),
+        field("cached_vs_full", Json::fixed(cached_vs_full, 4)),
+    ]);
 
-    // CI gate.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The registry itself is deterministic: a pair-count change
-            // means a kernel was added or dropped — regenerate the
-            // baseline deliberately, don't let it drift.
-            gate::require_exact(
-                "pairs_total",
-                gate::metric_u64(&base, "pairs_total", &baseline_path)?,
-                pairs,
-            )?;
-            // Shipped kernels must audit clean: any refutation is a bug
-            // in a kernel's declared facts or in the kernel itself.
-            gate::require_exact("refuted_total", 0, refuted)?;
-            // Per-class proven counts are exact: a kernel silently
-            // regressing from `proven` to `needs_dynamic` loses a static
-            // guarantee (and re-arms its dynamic check) without failing
-            // any test — this is the gate that catches it.
-            for &class in &CheckClass::ALL {
-                let key = format!("{}_proven", class.name());
-                gate::require_exact(
-                    &key,
-                    gate::metric_u64(&base, &key, &baseline_path)?,
-                    tally.class(class, Verdict::Proven),
-                )?;
-            }
-            // The paper-level acceptance floor, independent of baseline.
-            gate::require_not_below("proven_frac", 0.60, proven_frac, 1.0)?;
-            // Wall gates on in-process ratios (far more stable than either
-            // absolute wall on a shared CI runner). The static audit must
-            // stay orders of magnitude cheaper than the dynamic sweep it
-            // replaces checks of — 0.25 is hugely generous vs the ~0.01
-            // observed. The warm-cache sweep (production mode) must keep
-            // collapsing the dynamic cost.
-            gate::require_not_above("audit_vs_full", 0.25, audit_vs_full, 1.0)?;
-            gate::require_not_above("cached_vs_full", 0.60, cached_vs_full, 1.0)?;
-            gate::require_exact("cache_hits", u64::from(reps) * pairs, cache_hits)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
+    gate::write_and_check("BENCH_staticwall.json", &Json::Obj(record), |base| {
+        // The registry itself is deterministic: a pair-count change
+        // means a kernel was added or dropped — regenerate the
+        // baseline deliberately, don't let it drift.
+        gate::require_exact("pairs_total", base.u64("pairs_total")?, pairs)?;
+        // Shipped kernels must audit clean: any refutation is a bug
+        // in a kernel's declared facts or in the kernel itself.
+        gate::require_exact("refuted_total", 0, refuted)?;
+        // Per-class proven counts are exact: a kernel silently
+        // regressing from `proven` to `needs_dynamic` loses a static
+        // guarantee (and re-arms its dynamic check) without failing
+        // any test — this is the gate that catches it.
+        for &class in &CheckClass::ALL {
+            let key = format!("{}_proven", class.name());
+            gate::require_exact(&key, base.u64(&key)?, tally.class(class, Verdict::Proven))?;
         }
-    }
+        // The paper-level acceptance floor, independent of baseline.
+        gate::require_not_below("proven_frac", 0.60, proven_frac, 1.0)?;
+        // Wall gates on in-process ratios (far more stable than either
+        // absolute wall on a shared CI runner). The static audit must
+        // stay orders of magnitude cheaper than the dynamic sweep it
+        // replaces checks of — 0.25 is hugely generous vs the ~0.01
+        // observed. The warm-cache sweep (production mode) must keep
+        // collapsing the dynamic cost.
+        gate::require_not_above("audit_vs_full", 0.25, audit_vs_full, 1.0)?;
+        gate::require_not_above("cached_vs_full", 0.60, cached_vs_full, 1.0)?;
+        gate::require_exact("cache_hits", u64::from(reps) * pairs, cache_hits)
+    });
 }

@@ -12,12 +12,11 @@
 //! occupancy-bound small problems).
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::dataset::{self, ModelFamily};
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, write_json, Json, Table};
 
-#[derive(Serialize, Default, Clone)]
+#[derive(Default, Clone)]
 struct Cell {
     /// Ablated-time / full-time ratios (per problem); a mean > 1 would mean
     /// the ablation *helped*.
@@ -185,34 +184,17 @@ fn main() {
         );
     }
 
-    // Fields are written to JSON; the vendored serde stub doesn't read them.
-    #[allow(dead_code)]
-    #[derive(Serialize)]
-    struct Out {
-        spmm: Vec<(String, Vec<f64>)>,
-        sddmm: Vec<(String, Vec<f64>)>,
-    }
-    let out = Out {
-        spmm: spmm_ablations
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                (
-                    n.to_string(),
-                    (0..4).map(|c| spmm_cells[i][c].percent()).collect(),
-                )
-            })
-            .collect(),
-        sddmm: sddmm_ablations
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                (
-                    n.to_string(),
-                    (0..4).map(|c| sddmm_cells[i][c].percent()).collect(),
-                )
-            })
-            .collect(),
+    // One `[name, [percent per cell]]` pair per ablation.
+    let rows = |names: &[&str], cells: &[Vec<Cell>]| {
+        let row = |(name, row): (&&str, &Vec<Cell>)| {
+            let percents = row.iter().map(|c| Json::from(c.percent())).collect();
+            Json::Arr(vec![Json::from(*name), Json::Arr(percents)])
+        };
+        Json::Arr(names.iter().zip(cells).map(row).collect())
     };
+    let out = Json::obj([
+        ("spmm", rows(&spmm_ablations, &spmm_cells)),
+        ("sddmm", rows(&sddmm_ablations, &sddmm_cells)),
+    ]);
     write_json("table02_ablation", &out);
 }

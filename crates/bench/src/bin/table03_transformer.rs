@@ -8,7 +8,7 @@
 
 use dnn::transformer::{benchmark, bits_per_dimension, AttentionMode, TransformerConfig};
 use gpu_sim::Gpu;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, write_json, Json, Table};
 
 fn main() {
     let cfg = if has_flag("--quick") {
@@ -70,5 +70,16 @@ fn main() {
             100.0 * sparse.attention_us / sparse.forward_us,
         );
     }
-    write_json("table03_transformer", &rows.to_vec());
+    let record = rows.iter().map(|r| {
+        Json::obj([
+            ("model", Json::from(r.model.as_str())),
+            ("device", Json::from(r.device.as_str())),
+            ("out_of_memory", Json::from(r.out_of_memory)),
+            ("tokens_per_second", Json::from(r.tokens_per_second)),
+            ("memory_gb", Json::from(r.memory_gb)),
+            ("forward_us", Json::from(r.forward_us)),
+            ("attention_us", Json::from(r.attention_us)),
+        ])
+    });
+    write_json("table03_transformer", &Json::Arr(record.collect()));
 }

@@ -12,12 +12,8 @@
 use dnn::accuracy;
 use dnn::mobilenet::{benchmark, MobileNetV1};
 use gpu_sim::Gpu;
-use serde::Serialize;
-use sputnik_bench::{write_json, Table};
+use sputnik_bench::{write_json, Json, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct RowOut {
     model: String,
     width: f64,
@@ -26,6 +22,20 @@ struct RowOut {
     inference_us: f64,
     weight_mb: f64,
     oracle_overrides: usize,
+}
+
+impl RowOut {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("model", Json::from(self.model.as_str())),
+            ("width", Json::from(self.width)),
+            ("top1", Json::from(self.top1)),
+            ("frames_per_second", Json::from(self.frames_per_second)),
+            ("inference_us", Json::from(self.inference_us)),
+            ("weight_mb", Json::from(self.weight_mb)),
+            ("oracle_overrides", Json::from(self.oracle_overrides)),
+        ])
+    }
 }
 
 fn main() {
@@ -110,5 +120,8 @@ fn main() {
             100.0 * (speedup - 1.0)
         );
     }
-    write_json("table04_mobilenet", &rows);
+    write_json(
+        "table04_mobilenet",
+        &Json::Arr(rows.iter().map(RowOut::to_json).collect()),
+    );
 }

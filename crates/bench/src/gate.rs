@@ -1,46 +1,75 @@
 //! Shared helpers for bench `--check` CI gates.
 //!
-//! Every bench bin with a committed baseline (`simwall`, `trace_model`,
-//! `funcwall`) gates CI through these functions so a failure always names
-//! the offending metric, the baseline value, the observed value, and the
-//! percent delta — a bare "regressed" error forces a local repro before
-//! anyone knows what moved.
-//!
-//! The vendored serde stub cannot deserialize, so baselines are read with
-//! the simulator's own JSON reader ([`gpu_sim::trace::parse_json`]).
+//! Every bench bin with a committed baseline writes its record and gates CI
+//! through [`write_and_check`], so a failure always names the offending
+//! metric, the baseline value, the observed value, and the percent delta —
+//! a bare "regressed" error forces a local repro before anyone knows what
+//! moved.
 
+use crate::report::write_or_exit;
 use gpu_sim::trace::{parse_json, Json};
-use std::io::Read as _;
+use std::path::Path;
 
-/// Read a baseline JSON file into memory.
-pub fn read_baseline(path: &str) -> Result<String, String> {
-    let mut text = String::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text).map(|_| ()))
-        .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    Ok(text)
+/// A committed baseline record, parsed once. Lookups name the file when a
+/// key is missing or has the wrong type.
+pub struct Baseline {
+    path: String,
+    doc: Json,
 }
 
-/// A named number from the baseline, or an error naming the file.
-fn metric(text: &str, key: &str, path: &str) -> Result<Json, String> {
-    let doc = parse_json(text).map_err(|e| format!("cannot parse baseline {path}: {e}"))?;
-    doc.get(key)
-        .cloned()
-        .ok_or_else(|| format!("no {key} in baseline {path}"))
+impl Baseline {
+    fn parse(text: &str, path: &str) -> Result<Self, String> {
+        let doc = parse_json(text).map_err(|e| format!("cannot parse baseline {path}: {e}"))?;
+        Ok(Self {
+            path: path.to_string(),
+            doc,
+        })
+    }
+
+    fn metric(&self, key: &str) -> Result<&Json, String> {
+        self.doc
+            .get(key)
+            .ok_or_else(|| format!("no {key} in baseline {}", self.path))
+    }
+
+    /// A named number.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.metric(key)?
+            .as_num()
+            .ok_or_else(|| format!("{key} in baseline {} is not a number", self.path))
+    }
+
+    /// A named count.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.metric(key)?
+            .as_u64()
+            .ok_or_else(|| format!("{key} in baseline {} is not a count", self.path))
+    }
 }
 
-/// A named metric parsed from the baseline, or an error naming the file.
-pub fn metric_f64(text: &str, key: &str, path: &str) -> Result<f64, String> {
-    metric(text, key, path)?
-        .as_num()
-        .ok_or_else(|| format!("{key} in baseline {path} is not a number"))
-}
-
-/// Integer variant of [`metric_f64`].
-pub fn metric_u64(text: &str, key: &str, path: &str) -> Result<u64, String> {
-    metric(text, key, path)?
-        .as_u64()
-        .ok_or_else(|| format!("{key} in baseline {path} is not a count"))
+/// Write `record` to `path` (pretty JSON), then, when the command line
+/// holds `--check <baseline.json>`, run `check` against that baseline.
+/// Exits 1 if the write or the check fails.
+pub fn write_and_check(
+    path: &str,
+    record: &Json,
+    check: impl FnOnce(&Baseline) -> Result<(), String>,
+) {
+    write_or_exit(Path::new(path), &record.pretty());
+    let Some(baseline_path) = std::env::args().skip_while(|a| a != "--check").nth(1) else {
+        return;
+    };
+    let result = std::fs::read_to_string(&baseline_path)
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))
+        .and_then(|text| Baseline::parse(&text, &baseline_path))
+        .and_then(|base| check(&base));
+    match result {
+        Ok(()) => println!("[--check passed vs {baseline_path}]"),
+        Err(e) => {
+            eprintln!("[--check FAILED: {e}]");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Render the standard failure line: metric, baseline, observed, delta.
@@ -149,10 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn json_scanner_reads_flat_objects() {
+    fn baseline_reads_flat_objects() {
         let text = "{\n  \"a\": 1.5,\n  \"b\": 7\n}\n";
-        assert_eq!(metric_f64(text, "a", "p").ok(), Some(1.5));
-        assert_eq!(metric_u64(text, "b", "p").ok(), Some(7));
-        assert!(metric_f64(text, "missing", "p").is_err());
+        let base = Baseline::parse(text, "base.json").expect("parses");
+        assert_eq!(base.f64("a").ok(), Some(1.5));
+        assert_eq!(base.u64("b").ok(), Some(7));
+        assert!(base.u64("a").is_err(), "1.5 is not a count");
+        let err = base.f64("missing").unwrap_err();
+        assert!(
+            err.contains("missing") && err.contains("base.json"),
+            "{err}"
+        );
     }
 }

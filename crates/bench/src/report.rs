@@ -1,7 +1,6 @@
 //! Plain-text table rendering and JSON result persistence.
 
-use serde::Serialize;
-use std::fs;
+use gpu_sim::trace::Json;
 use std::path::Path;
 
 /// A printable results table.
@@ -73,16 +72,52 @@ pub fn geo_mean(xs: &[f64]) -> f64 {
     sparse::stats::geometric_mean(xs)
 }
 
-/// Persist a serializable result under `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_err() {
-        return;
+/// Persist a result record under `results/<name>.json`, its fractional
+/// numbers rounded to `FIGURE_DIGITS` significant digits.
+pub fn write_json(name: &str, value: &Json) {
+    write_or_exit(
+        &Path::new("results").join(format!("{name}.json")),
+        &rounded(value).pretty(),
+    );
+}
+
+/// Significant digits kept for a fractional number in a figure record. The
+/// records are diffed byte for byte on other hosts, and some values pass
+/// through libm (`ln`, `exp`, `powf`), whose last bit may differ between C
+/// libraries. Nine digits hide that and are far more than any figure
+/// reports. Integral numbers (counts) are kept exact.
+const FIGURE_DIGITS: usize = 9;
+
+fn rounded(v: &Json) -> Json {
+    match v {
+        Json::Num(n) if n.is_finite() && n.fract() != 0.0 => {
+            Json::Num(format!("{n:.*e}", FIGURE_DIGITS - 1).parse().unwrap_or(*n))
+        }
+        Json::Arr(items) => Json::Arr(items.iter().map(rounded).collect()),
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| (k.clone(), rounded(v)))
+                .collect(),
+        ),
+        other => other.clone(),
     }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = fs::write(&path, json);
-        eprintln!("[results written to {}]", path.display());
+}
+
+/// Write `text` to `path`, creating its directory. A result that cannot be
+/// kept fails the run: the process exits 1, and so does `reproduce_all`.
+pub(crate) fn write_or_exit(path: &Path, text: &str) {
+    let written = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
+    }
+    .and_then(|()| std::fs::write(path, text));
+    match written {
+        Ok(()) => eprintln!("[results written to {}]", path.display()),
+        Err(e) => {
+            eprintln!("[failed to write {}: {e}]", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -105,6 +140,29 @@ mod tests {
         assert!(r.contains("longer-name"));
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn figure_numbers_keep_nine_significant_digits() {
+        let record = Json::obj([
+            ("ratio", Json::from(2.0 / 3.0)),
+            ("tiny", Json::Arr(vec![Json::from(1.234_567_890_12e-9)])),
+            ("count", Json::from((1u64 << 53) - 1)),
+            ("label", Json::from("x")),
+            ("nan", Json::from(f64::NAN)),
+        ]);
+        assert_eq!(
+            rounded(&record).compact(),
+            "{\"ratio\":0.666666667,\"tiny\":[1.23456789e-9],\
+             \"count\":9007199254740991,\"label\":\"x\",\"nan\":null}"
+        );
+        // One ulp apart (as two libms may answer) writes the same text.
+        let x = 0.1f64.ln();
+        let next = f64::from_bits(x.to_bits() + 1);
+        assert_eq!(
+            rounded(&Json::from(x)).compact(),
+            rounded(&Json::from(next)).compact()
+        );
     }
 
     #[test]

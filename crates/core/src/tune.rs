@@ -12,7 +12,6 @@ use crate::config::SpmmConfig;
 use crate::spmm;
 use gpu_sim::trace::{parse_json, Json};
 use gpu_sim::{Gpu, LaunchCache};
-use serde::{Deserialize, Serialize};
 use sparse::{CsrMatrix, IndexWidth, Scalar};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
@@ -21,7 +20,7 @@ use std::path::Path;
 /// A bucketized problem identity: problems in the same bucket share a tuned
 /// configuration. Shapes are bucketed to the nearest power of two and
 /// sparsity to 5% steps, so the cache stays small while staying relevant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemClass {
     pub m_pow2: u32,
     pub k_pow2: u32,
@@ -46,7 +45,7 @@ impl ProblemClass {
 }
 
 /// Result of one tuning search.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TuneResult {
     pub config: SpmmConfig,
     /// Simulated time of the winning variant on the probe problem.
@@ -196,9 +195,7 @@ impl AutoTuner {
 
     /// Persist the memo table as JSON lines: a versioned header object
     /// followed by one flat entry object per problem class, sorted for
-    /// deterministic output. (Hand-rolled writer — the vendored serde stub
-    /// cannot serialize; [`Self::load_from`] reads it back with
-    /// [`gpu_sim::trace::parse_json`].)
+    /// deterministic output. [`Self::load_from`] reads it back.
     pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         if let Some(dir) = path.parent() {
@@ -209,42 +206,33 @@ impl AutoTuner {
         let mut entries: Vec<_> = self.cache.iter().collect();
         entries.sort_by_key(|(c, _)| (c.m_pow2, c.k_pow2, c.n_pow2, c.sparsity_bucket));
         let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(
-            f,
-            "{{\"version\":{},\"kind\":\"{}\"}}",
-            Self::CACHE_FORMAT_VERSION,
-            Self::CACHE_KIND
-        )?;
+        let header = Json::obj([
+            ("version", Json::from(Self::CACHE_FORMAT_VERSION)),
+            ("kind", Json::from(Self::CACHE_KIND)),
+        ]);
+        writeln!(f, "{}", header.compact())?;
         for (class, r) in entries {
             let c = &r.config;
-            writeln!(
-                f,
-                concat!(
-                    "{{\"m_pow2\":{},\"k_pow2\":{},\"n_pow2\":{},\"sparsity_bucket\":{},",
-                    "\"block_items_y\":{},\"block_items_k\":{},\"block_items_x\":{},",
-                    "\"vector_width\":{},\"row_swizzle\":{},\"roma\":{},",
-                    "\"index_prescale\":{},\"residue_unroll\":{},\"index_bytes\":{},",
-                    "\"fused_bias_relu\":{},\"assume_aligned\":{},",
-                    "\"best_us\":{:?},\"heuristic_us\":{:?}}}"
-                ),
-                class.m_pow2,
-                class.k_pow2,
-                class.n_pow2,
-                class.sparsity_bucket,
-                c.block_items_y,
-                c.block_items_k,
-                c.block_items_x,
-                c.vector_width,
-                c.row_swizzle,
-                c.roma,
-                c.index_prescale,
-                c.residue_unroll,
-                c.index_width.bytes(),
-                c.fused_bias_relu,
-                c.assume_aligned,
-                r.best_us,
-                r.heuristic_us,
-            )?;
+            let entry = Json::obj([
+                ("m_pow2", Json::from(class.m_pow2)),
+                ("k_pow2", Json::from(class.k_pow2)),
+                ("n_pow2", Json::from(class.n_pow2)),
+                ("sparsity_bucket", Json::from(class.sparsity_bucket)),
+                ("block_items_y", Json::from(c.block_items_y)),
+                ("block_items_k", Json::from(c.block_items_k)),
+                ("block_items_x", Json::from(c.block_items_x)),
+                ("vector_width", Json::from(c.vector_width)),
+                ("row_swizzle", Json::from(c.row_swizzle)),
+                ("roma", Json::from(c.roma)),
+                ("index_prescale", Json::from(c.index_prescale)),
+                ("residue_unroll", Json::from(c.residue_unroll)),
+                ("index_bytes", Json::from(c.index_width.bytes())),
+                ("fused_bias_relu", Json::from(c.fused_bias_relu)),
+                ("assume_aligned", Json::from(c.assume_aligned)),
+                ("best_us", Json::from(r.best_us)),
+                ("heuristic_us", Json::from(r.heuristic_us)),
+            ]);
+            writeln!(f, "{}", entry.compact())?;
         }
         f.flush()
     }
@@ -399,6 +387,25 @@ mod tests {
         assert_eq!(r1.config, r2.config);
         assert_eq!(r1.best_us, r2.best_us);
         assert_eq!(r1.heuristic_us, r2.heuristic_us);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The committed cache still loads, and saving it again writes the same
+    /// records, line for line.
+    #[test]
+    fn committed_cache_loads_and_resaves_unchanged() {
+        let committed =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/autotune_cache.json");
+        let tuner = AutoTuner::load_from(&committed).unwrap();
+        assert!(!tuner.is_empty());
+        let dir = std::env::temp_dir().join("sputnik_tune_cache_committed_test");
+        let path = dir.join("autotune.json");
+        tuner.save_to(&path).unwrap();
+        let records = |p: &Path| -> Vec<Json> {
+            let text = std::fs::read_to_string(p).unwrap();
+            text.lines().map(|l| parse_json(l).unwrap()).collect()
+        };
+        assert_eq!(records(&path), records(&committed));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,12 +9,11 @@
 //! layers where the heuristic picks a sub-optimal variant.
 
 use gpu_sim::Gpu;
-use serde::{Deserialize, Serialize};
-use sparse::{gen, CsrMatrix, IndexWidth};
+use sparse::{gen, IndexWidth};
 use sputnik::SpmmConfig;
 
 /// One depthwise-separable block of the architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     pub in_channels: usize,
     pub out_channels: usize,
@@ -25,7 +24,7 @@ pub struct Block {
 }
 
 /// The MobileNetV1 architecture at a given width multiplier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MobileNetV1 {
     pub width: f64,
     /// First full 3x3 convolution: 3 -> c(32), stride 2, on 224x224 input.
@@ -92,7 +91,7 @@ impl MobileNetV1 {
 }
 
 /// Per-layer timing of one inference pass.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MobileNetBench {
     pub width: f64,
     pub sparse: bool,
@@ -256,11 +255,6 @@ pub fn benchmark(
 /// of four to enable vector memory instructions" — same trick here).
 fn pad4(n: usize) -> usize {
     n.div_ceil(4) * 4
-}
-
-/// Prune a functional MobileNet pointwise layer (utility for the examples).
-pub fn prune_pointwise(weights: &sparse::Matrix<f32>, sparsity: f64) -> CsrMatrix<f32> {
-    crate::pruning::magnitude_prune(weights, sparsity)
 }
 
 #[cfg(test)]

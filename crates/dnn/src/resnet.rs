@@ -9,12 +9,11 @@
 //! multiple of four for vector memory instructions.
 
 use gpu_sim::Gpu;
-use serde::{Deserialize, Serialize};
 use sparse::gen;
 use sputnik::SpmmConfig;
 
 /// One convolution of the network, lowered to a matmul shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvShape {
     /// Output channels (M).
     pub out_channels: usize,
@@ -91,7 +90,7 @@ pub fn resnet50_convs() -> Vec<ConvShape> {
 }
 
 /// Benchmark result for one inference pass.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ResNetBench {
     pub sparse: bool,
     pub sparsity: f64,

@@ -9,10 +9,9 @@
 //! pattern precisely.
 
 use crate::memory::SECTOR_BYTES;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
@@ -34,15 +33,6 @@ impl CacheConfig {
         }
     }
 
-    /// One SM's 128 KiB L1 slice.
-    pub fn v100_l1() -> Self {
-        Self {
-            capacity_bytes: 128 * 1024,
-            line_bytes: SECTOR_BYTES,
-            ways: 4,
-        }
-    }
-
     fn num_lines(&self) -> usize {
         (self.capacity_bytes / self.line_bytes) as usize
     }
@@ -53,7 +43,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub accesses: u64,
     pub hits: u64,
@@ -66,10 +56,6 @@ impl CacheStats {
             return 0.0;
         }
         self.hits as f64 / self.accesses as f64
-    }
-
-    pub fn miss_bytes(&self, line_bytes: u64) -> u64 {
-        self.misses * line_bytes
     }
 }
 
@@ -162,10 +148,6 @@ impl CacheSim {
 
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 

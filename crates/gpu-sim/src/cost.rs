@@ -7,19 +7,18 @@
 
 use crate::memory;
 use crate::sanitizer::{BlockSan, SmemScope};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one logical device buffer (e.g. the sparse matrix values, the
 /// dense operand, the output). Buffer identities let the cache model reason
 /// about cross-block reuse per buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub u8);
 
 /// Maximum number of distinct buffers a single kernel may declare.
 pub const MAX_BUFFERS: usize = 8;
 
 /// Global-memory traffic against a single buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// 32-byte sectors requested by loads (after intra-warp coalescing).
     pub ld_sectors: u64,
@@ -41,7 +40,7 @@ impl Traffic {
 /// "Warp-level" means one FFMA entry covers up to 32 lanes; this matches how
 /// the hardware issues and how the paper counts the 6-PTX-instruction cost of
 /// ROMA or the instruction savings of vector loads.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockCost {
     /// FP32 FMA warp instructions issued.
     pub fma_instrs: u64,
@@ -88,11 +87,6 @@ impl BlockCost {
             + self.st_shared_instrs
             + self.shfl_instrs
             + self.misc_instrs
-    }
-
-    /// Total global-memory sectors requested (loads + stores).
-    pub fn total_sectors(&self) -> u64 {
-        self.gmem.iter().map(|t| t.ld_sectors + t.st_sectors).sum()
     }
 
     /// Accumulate another block's cost into this one (for aggregation).
@@ -333,33 +327,6 @@ impl BlockContext {
         if let Some(san) = self.san.as_deref_mut() {
             san.check_global(buf.0 as usize, byte_addr, bytes);
             san.check_align(buf.0 as usize, byte_addr, vec_width, elem_bytes);
-        }
-    }
-
-    /// A strided warp load (e.g. walking a column of a row-major matrix).
-    #[inline]
-    pub fn ld_global_strided(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        lanes: u32,
-        stride_bytes: u64,
-        elem_bytes: u32,
-    ) {
-        if !self.record {
-            return;
-        }
-        let sectors = memory::sectors_strided(base, lanes, stride_bytes, elem_bytes as u64);
-        self.cost.ld_global_instrs += 1;
-        self.cost.gmem[buf.0 as usize].ld_sectors += sectors;
-        if let Some(san) = self.san.as_deref_mut() {
-            if lanes > 0 {
-                let span = (lanes as u64 - 1) * stride_bytes + elem_bytes as u64;
-                san.check_global(buf.0 as usize, base, span);
-            }
-            if stride_bytes >= memory::SECTOR_BYTES {
-                san.note_uncoalesced(buf.0 as usize, lanes, sectors);
-            }
         }
     }
 

@@ -7,14 +7,13 @@
 //! runs out of the 1080's 8 GiB of device memory.
 
 use crate::fingerprint::Fingerprint;
-use serde::{Deserialize, Serialize};
 
 /// Static description of a simulated GPU.
 ///
 /// All throughputs are per-SM per-cycle unless otherwise noted. The timing
 /// model in [`crate::timing`] combines these with per-block cost traces to
 /// produce simulated runtimes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Marketing name, e.g. `"V100-SXM2-16GB"`.
     pub name: String,
@@ -221,7 +220,7 @@ impl DeviceConfig {
 /// collective-communication cost analyses. Two profiles bracket real
 /// machines: [`LinkProfile::nvlink`] for NVLink-class fabrics (DGX-style
 /// boxes) and [`LinkProfile::pcie`] for PCIe-attached fleets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkProfile {
     /// Profile name, e.g. `"NVLink2"`.
     pub name: String,

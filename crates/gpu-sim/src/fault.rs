@@ -14,12 +14,11 @@
 //! Decisions are a pure function of `(seed, launch index)` so any failing
 //! schedule can be replayed exactly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The kind of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// An uncorrectable memory error: the launch aborts with an error.
     EccError,
@@ -41,7 +40,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// A fault that fired on a specific launch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceFault {
     pub kind: FaultKind,
     /// Name of the kernel whose launch faulted.

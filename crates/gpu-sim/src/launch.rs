@@ -15,7 +15,6 @@ use crate::static_check::{self, Details, StaticAudit};
 use crate::timing;
 use crate::trace;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -214,7 +213,7 @@ fn built<T>(result: Option<T>) -> T {
 
 /// Device-wide roofline times (cycles) per pipeline — the denominator view
 /// of where a kernel's time goes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineBreakdown {
     pub fma_cycles: f64,
     pub issue_cycles: f64,
@@ -250,7 +249,7 @@ impl PipelineBreakdown {
 /// `PartialEq` compares every field (f64s bitwise-as-values): the fast-path
 /// equivalence suite relies on exact equality between the streaming/dedup
 /// launch engine and the brute-force reference path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchStats {
     /// Kernel name.
     pub kernel: String,
@@ -283,13 +282,6 @@ pub struct LaunchStats {
     pub bound_by: String,
     /// Device-wide per-pipeline roofline times.
     pub pipelines: PipelineBreakdown,
-}
-
-impl LaunchStats {
-    /// Convenience: simulated time in milliseconds.
-    pub fn time_ms(&self) -> f64 {
-        self.time_us / 1000.0
-    }
 }
 
 impl std::fmt::Display for LaunchStats {
@@ -1078,7 +1070,7 @@ pub fn pipelined_us(overhead_us: f64, times: impl IntoIterator<Item = f64>) -> f
 }
 
 /// Aggregate of several launches (e.g. the layers of a network forward pass).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LaunchSummary {
     pub launches: u64,
     pub time_us: f64,

@@ -64,6 +64,7 @@ pub mod fault;
 pub mod fingerprint;
 pub mod fleet;
 pub mod fused;
+mod json;
 pub mod kernel;
 pub mod lanes;
 pub mod launch;

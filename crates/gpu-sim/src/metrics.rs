@@ -34,6 +34,7 @@
 //! | `serve_late` / `serve_batches` / `serve_degraded` | SLO misses, launch windows, degraded serves |
 //! | `joint_tiles_total` / `joint_tiles_skipped` | pattern-LUT probes issued by joint-sparsity launches, and how many hit dead tiles (skip rate = skipped/total) |
 
+use crate::json::Json;
 use crate::launch::LaunchStats;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
@@ -151,17 +152,14 @@ impl MetricsSnapshot {
         self.get("dedup_blocks_executed") as f64 / total as f64
     }
 
-    /// Serialize as one flat JSON object, stable key order. (The vendored
-    /// serde stub cannot serialize, so this is written by hand; parse it
-    /// back with [`crate::trace::parse_json`].)
+    /// Serialize as `{"metrics": {<counter>: <value>, ...}}`, pretty, in
+    /// stable key order; parse it back with [`crate::trace::parse_json`].
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"metrics\": {\n");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {value}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::from(*v)));
+        Json::obj([("metrics", Json::obj(counters))]).pretty()
     }
 }
 

@@ -33,7 +33,6 @@
 
 use crate::cache::BufferSpec;
 use crate::cost::MAX_BUFFERS;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +48,7 @@ use std::sync::{Mutex, MutexGuard};
 ///   the launch would only rediscover it.
 /// * `NeedsDynamic` — the property depends on runtime data (gathered
 ///   indices, barrier interleavings); fall back to the dynamic sanitizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verdict {
     Proven,
     NeedsDynamic,
@@ -68,7 +67,7 @@ impl Verdict {
 
 /// The check classes the static auditor can rule on. Each maps onto the
 /// dynamic check the sanitizer would otherwise run for every block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckClass {
     /// Traced global accesses vs declared buffer footprints (memcheck).
     Bounds,
@@ -109,7 +108,7 @@ impl CheckClass {
 /// loads, where the warp that stores is the only consumer — legal without a
 /// barrier). `Block` marks staging consumed by other warps of the block,
 /// which requires a `bar_sync` between the store and the load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmemScope {
     /// Producer and consumer are the same warp; no barrier required.
     Warp,
@@ -119,7 +118,7 @@ pub enum SmemScope {
 }
 
 /// A hard sanitizer finding: the kernel (or its cost model) broke a contract.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SanitizerViolation {
     /// Two different thread blocks wrote the same output-slice index.
     CrossBlockRace {
@@ -203,7 +202,7 @@ impl std::fmt::Display for SanitizerViolation {
 }
 
 /// A soft sanitizer finding: legal, but a performance smell worth knowing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SanitizerWarning {
     /// A gather or long-stride load whose lanes each touched their own
     /// sector — zero intra-warp coalescing.
@@ -243,7 +242,7 @@ pub const MAX_REPORTED: usize = 64;
 const MAX_PER_BLOCK: usize = 16;
 
 /// The outcome of one sanitized launch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SanitizerReport {
     /// Kernel name.
     pub kernel: String,

@@ -35,14 +35,14 @@
 //! ## Export
 //!
 //! [`chrome_trace_json`] serializes a drained event list to Chrome
-//! `trace_event` JSON (the vendored serde stub cannot serialize, so the
-//! writer is by hand). Load the file in `chrome://tracing` or
+//! `trace_event` JSON through the workspace's [`Json`] writer. Load the file in `chrome://tracing` or
 //! <https://ui.perfetto.dev>: each track is a named thread row, launches and
 //! spans are duration slices, and synthesized counter tracks show occupancy
 //! and DRAM bandwidth per launch. [`validate_chrome_trace`] re-parses the
 //! output and checks the structural schema; CI runs it on every
 //! `trace_model` artifact.
 
+pub use crate::json::{parse_json, Json};
 use crate::launch::LaunchStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -341,41 +341,52 @@ pub fn end_span(track: &str) -> f64 {
 // Chrome trace_event export
 // ---------------------------------------------------------------------------
 
-/// Escape a string for a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A trace number (timestamp, duration, rate or ratio) with NaN/inf
+/// clamped to 0 and rounded to six decimals. Six decimals: timestamps are
+/// microseconds, and the validator re-derives per-track clocks from the
+/// rounded values — coarser rounding would make back-to-back launches
+/// appear to overlap by up to half an LSB.
+fn finite6(v: f64) -> Json {
+    Json::fixed(if v.is_finite() { v } else { 0.0 }, 6)
 }
 
-/// Format a non-negative f64 for JSON (finite; NaN/inf clamp to 0).
-/// Six decimals: timestamps are microseconds, and the validator re-derives
-/// per-track clocks from the rounded values — coarser rounding would make
-/// back-to-back launches appear to overlap by up to half an LSB.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0".to_string()
-    }
+/// One trace event, fields in Chrome's order: `name`, `cat`, `ph`, `ts`,
+/// `dur`, `pid`, `tid`, then `tail` (`args` or `s`); `None` fields are left
+/// out.
+fn event(
+    name: &str,
+    cat: Option<&str>,
+    ph: &str,
+    ts: Option<f64>,
+    dur: Option<f64>,
+    tid: usize,
+    tail: (&str, Json),
+) -> Json {
+    let fields = [
+        Some(("name", Json::from(name))),
+        cat.map(|c| ("cat", Json::from(c))),
+        Some(("ph", Json::from(ph))),
+        ts.map(|t| ("ts", finite6(t))),
+        dur.map(|d| ("dur", finite6(d))),
+        Some(("pid", Json::from(0u64))),
+        Some(("tid", Json::from(tid))),
+        Some(tail),
+    ];
+    Json::obj(fields.into_iter().flatten())
+}
+
+/// A counter (`"ph":"C"`) sample with a single series.
+fn counter_sample(name: &str, ts: f64, tid: usize, series: &str, value: Json) -> Json {
+    let args = Json::obj([(series, value)]);
+    event(name, None, "C", Some(ts), None, tid, ("args", args))
 }
 
 /// Serialize events to Chrome `trace_event` JSON (the "JSON Object Format":
-/// a `traceEvents` array plus `displayTimeUnit`). Tracks become named
-/// threads of one `gpu-sim` process; launches/spans/replays are complete
-/// (`"ph":"X"`) events, instants are `"ph":"i"`, and per-launch occupancy
-/// and DRAM-bandwidth samples are synthesized as counter (`"ph":"C"`)
-/// events. Open the result in `chrome://tracing` or Perfetto.
+/// a `traceEvents` array plus `displayTimeUnit`), compact. Tracks become
+/// named threads of one `gpu-sim` process; launches/spans/replays are
+/// complete (`"ph":"X"`) events, instants are `"ph":"i"`, and per-launch
+/// occupancy and DRAM-bandwidth samples are synthesized as counter
+/// (`"ph":"C"`) events. Open the result in `chrome://tracing` or Perfetto.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     // Stable tid assignment by first appearance.
     let mut tids: Vec<&str> = Vec::new();
@@ -385,373 +396,125 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         }
     }
     let tid_of = |track: &str| tids.iter().position(|t| *t == track).unwrap_or(0);
+    let metadata = |kind: &str, tid: usize, name: &str| {
+        let args = Json::obj([("name", Json::from(name))]);
+        event(kind, None, "M", None, None, tid, ("args", args))
+    };
 
-    let mut out = String::with_capacity(events.len() * 160 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"gpu-sim\"}}",
-    );
+    let mut out = vec![metadata("process_name", 0, "gpu-sim")];
     for (i, track) in tids.iter().enumerate() {
-        out.push_str(&format!(
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{i},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(track)
-        ));
+        out.push(metadata("thread_name", i, track));
     }
-
     for ev in events {
         let tid = tid_of(&ev.track);
-        let name = escape_json(&ev.name);
-        let ts = json_num(ev.ts_us);
+        // A complete event spanning `dur` from the event's timestamp.
+        let complete = |dur: f64, args: Json| {
+            event(
+                &ev.name,
+                Some(ev.cat),
+                "X",
+                Some(ev.ts_us),
+                Some(dur),
+                tid,
+                ("args", args),
+            )
+        };
         match &ev.kind {
             EventKind::Launch { stats, cached } => {
                 let cached = match cached {
-                    Some(true) => "\"hit\"",
-                    Some(false) => "\"miss\"",
-                    None => "\"none\"",
+                    Some(true) => "hit",
+                    Some(false) => "miss",
+                    None => "none",
                 };
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{dur},\"pid\":0,\"tid\":{tid},\"args\":{{\
-                     \"blocks\":{},\"waves\":{},\"occupancy\":{},\"balance\":{},\
-                     \"instructions\":{},\"flops\":{},\"dram_bytes\":{},\
-                     \"tflops\":{},\"dram_gbps\":{},\"bound_by\":\"{}\",\
-                     \"cache\":{cached}}}}}",
-                    ev.cat,
-                    stats.blocks,
-                    json_num(stats.waves),
-                    json_num(stats.occupancy.fraction),
-                    json_num(stats.balance),
-                    stats.instructions,
-                    stats.flops,
-                    stats.dram_bytes,
-                    json_num(stats.tflops),
-                    json_num(stats.dram_gbps),
-                    escape_json(&stats.bound_by),
-                    dur = json_num(stats.time_us),
+                out.push(complete(
+                    stats.time_us,
+                    Json::obj([
+                        ("blocks", Json::from(stats.blocks)),
+                        ("waves", finite6(stats.waves)),
+                        ("occupancy", finite6(stats.occupancy.fraction)),
+                        ("balance", finite6(stats.balance)),
+                        ("instructions", Json::from(stats.instructions)),
+                        ("flops", Json::from(stats.flops)),
+                        ("dram_bytes", Json::from(stats.dram_bytes)),
+                        ("tflops", finite6(stats.tflops)),
+                        ("dram_gbps", finite6(stats.dram_gbps)),
+                        ("bound_by", Json::from(stats.bound_by.as_str())),
+                        ("cache", Json::from(cached)),
+                    ]),
                 ));
                 // Counter tracks: sample at launch start, return to zero at
                 // launch end so the timeline shows per-launch steps.
-                let end = json_num(ev.ts_us + stats.time_us);
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"occupancy\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\
-                     \"tid\":{tid},\"args\":{{\"fraction\":{}}}}}",
-                    json_num(stats.occupancy.fraction)
-                ));
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"dram_gbps\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\
-                     \"tid\":{tid},\"args\":{{\"gbps\":{}}}}}",
-                    json_num(stats.dram_gbps)
-                ));
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"occupancy\",\"ph\":\"C\",\"ts\":{end},\"pid\":0,\
-                     \"tid\":{tid},\"args\":{{\"fraction\":0}}}}",
-                ));
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"dram_gbps\",\"ph\":\"C\",\"ts\":{end},\"pid\":0,\
-                     \"tid\":{tid},\"args\":{{\"gbps\":0}}}}",
-                ));
+                let end = ev.ts_us + stats.time_us;
+                out.extend([
+                    counter_sample(
+                        "occupancy",
+                        ev.ts_us,
+                        tid,
+                        "fraction",
+                        finite6(stats.occupancy.fraction),
+                    ),
+                    counter_sample("dram_gbps", ev.ts_us, tid, "gbps", finite6(stats.dram_gbps)),
+                    counter_sample("occupancy", end, tid, "fraction", Json::from(0u64)),
+                    counter_sample("dram_gbps", end, tid, "gbps", Json::from(0u64)),
+                ]);
             }
-            EventKind::Span { dur_us } => {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{{}}}}",
-                    ev.cat,
-                    json_num(*dur_us),
-                ));
-            }
-            EventKind::Replay { dur_us, count } => {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{{\"count\":{count}}}}}",
-                    ev.cat,
-                    json_num(*dur_us),
-                ));
-            }
-            EventKind::Instant => {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":{tid},\"s\":\"t\"}}",
-                    ev.cat,
-                ));
-            }
-            EventKind::Counter { value } => {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":{tid},\"args\":{{\"value\":{value}}}}}",
-                    ev.cat,
-                ));
-            }
+            EventKind::Span { dur_us } => out.push(complete(*dur_us, Json::Obj(vec![]))),
+            EventKind::Replay { dur_us, count } => out.push(complete(
+                *dur_us,
+                Json::obj([("count", Json::from(*count))]),
+            )),
+            EventKind::Instant => out.push(event(
+                &ev.name,
+                Some(ev.cat),
+                "i",
+                Some(ev.ts_us),
+                None,
+                tid,
+                ("s", Json::from("t")),
+            )),
+            EventKind::Counter { value } => out.push(event(
+                &ev.name,
+                Some(ev.cat),
+                "C",
+                Some(ev.ts_us),
+                None,
+                tid,
+                ("args", Json::obj([("value", Json::from(*value))])),
+            )),
             EventKind::Transfer { dur_us, bytes, dst } => {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\
-                     \"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{{\
-                     \"bytes\":{bytes},\"dst\":\"{}\"}}}}",
-                    ev.cat,
-                    json_num(*dur_us),
-                    escape_json(dst),
+                out.push(complete(
+                    *dur_us,
+                    Json::obj([
+                        ("bytes", Json::from(*bytes)),
+                        ("dst", Json::from(dst.as_str())),
+                    ]),
                 ));
                 // Counter track: bytes in flight step up for the duration of
                 // the transfer and drop back to zero when it completes.
-                let end = json_num(ev.ts_us + dur_us);
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"interconnect_bytes\",\"ph\":\"C\",\"ts\":{ts},\
-                     \"pid\":0,\"tid\":{tid},\"args\":{{\"bytes\":{bytes}}}}}",
-                ));
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"interconnect_bytes\",\"ph\":\"C\",\"ts\":{end},\
-                     \"pid\":0,\"tid\":{tid},\"args\":{{\"bytes\":0}}}}",
-                ));
+                let bytes = Json::from(*bytes);
+                out.extend([
+                    counter_sample("interconnect_bytes", ev.ts_us, tid, "bytes", bytes),
+                    counter_sample(
+                        "interconnect_bytes",
+                        ev.ts_us + dur_us,
+                        tid,
+                        "bytes",
+                        Json::from(0u64),
+                    ),
+                ]);
             }
         }
     }
-    out.push_str("\n]}\n");
-    out
+    Json::obj([
+        ("displayTimeUnit", Json::from("ms")),
+        ("traceEvents", Json::Arr(out)),
+    ])
+    .compact()
 }
 
 // ---------------------------------------------------------------------------
 // Structural validation (used by tests and the trace_model CI gate)
 // ---------------------------------------------------------------------------
-
-/// A minimal JSON value, parsed by [`parse_json`]. The vendored serde_json
-/// stub cannot deserialize, so schema validation carries its own parser.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// A number that is an exact non-negative integer (JSON has one number
-    /// type; counts round-trip exactly up to 2^53).
-    pub fn as_u64(&self) -> Option<u64> {
-        const EXACT: f64 = (1u64 << 53) as f64;
-        self.as_num()
-            .filter(|n| n.fract() == 0.0 && (0.0..=EXACT).contains(n))
-            .map(|n| n as u64)
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{text}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf8 in number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input came from a
-                    // Rust string, so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf8"))?;
-                    if let Some(c) = rest.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document (full grammar, no serde).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(v)
-}
 
 /// Summary of a validated trace, returned by [`validate_chrome_trace`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -1321,20 +1084,6 @@ mod tests {
         assert!(validate_chrome_trace(backwards)
             .expect_err("must reject")
             .contains("non-monotonic"));
-    }
-
-    #[test]
-    fn parse_json_handles_the_grammar() {
-        let doc = parse_json("{\"a\": [1, -2.5e1, \"s\\u0041\", true, false, null], \"b\": {}}")
-            .expect("parses");
-        let arr = doc.get("a").and_then(Json::as_arr).expect("array");
-        assert_eq!(arr[0].as_num(), Some(1.0));
-        assert_eq!(arr[1].as_num(), Some(-25.0));
-        assert_eq!(arr[2].as_str(), Some("sA"));
-        assert_eq!(arr[3], Json::Bool(true));
-        assert_eq!(arr[5], Json::Null);
-        assert!(parse_json("{\"unterminated\": ").is_err());
-        assert!(parse_json("{} trailing").is_err());
     }
 
     /// Per-layer rows must sum to the total, with uncovered work surfaced

@@ -7,7 +7,6 @@
 
 use crate::dense::Matrix;
 use crate::element::{IndexWidth, Scalar};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced when validating CSR structure.
@@ -57,7 +56,7 @@ impl std::error::Error for CsrError {}
 /// The mixed-precision kernels model 16-bit column indices; the width used
 /// on "device" is a kernel-configuration concern (`IndexWidth`), while host
 /// storage is always u32.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix<T> {
     rows: usize,
     cols: usize,
